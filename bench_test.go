@@ -1,8 +1,8 @@
 package skyquery
 
 // Benchmarks regenerating the paper's evaluation artifacts, one per table
-// and figure (see DESIGN.md's per-experiment index and EXPERIMENTS.md for
-// recorded outputs). The cmd/skyquery-bench tool prints the same
+// and figure (internal/experiments holds the per-experiment index). The
+// cmd/skyquery-bench tool prints the same
 // experiments as human-readable tables; these testing.B forms measure the
 // steady-state cost of each workload and report bytes-on-wire metrics.
 //

@@ -1,4 +1,4 @@
-// Command skyquery-bench regenerates every table of EXPERIMENTS.md: the
+// Command skyquery-bench prints every table of internal/experiments: the
 // reproductions of the paper's Figures 1-3 and of its quantified claims
 // (count-star ordering, chunking, HTM range search, SOAP overhead,
 // chain-vs-pull, scaling, performance-query cost).

@@ -1,6 +1,6 @@
 package eval
 
-// The benchmark trajectory: a machine-readable snapshot of the four
+// The benchmark trajectory: a machine-readable snapshot of the three
 // expression engines on the canonical 10k-row selective scan, written to
 // BENCH_scan.json at the repository root and checked in per PR so the
 // perf history lives in version control (CI also uploads it as an
@@ -46,7 +46,7 @@ type benchScanFile struct {
 // the perf-regression gate re-measuring it).
 const benchScanRowCount = 10000
 
-// measureScanEngines runs the canonical selective scan through all four
+// measureScanEngines runs the canonical selective scan through all three
 // engines under testing.Benchmark and returns their measurements. Shared
 // by the trajectory writer and TestPerfRegressionGate.
 func measureScanEngines(t *testing.T) map[string]benchScanEngine {
@@ -62,10 +62,6 @@ func measureScanEngines(t *testing.T) map[string]benchScanEngine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bprog, err := CompileBatch(e, stdLayout)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tprog, err := CompileTyped(e, stdLayout)
 	if err != nil {
 		t.Fatal(err)
@@ -78,14 +74,11 @@ func measureScanEngines(t *testing.T) map[string]benchScanEngine {
 		envs[i] = envFromLayout(stdLayout, row)
 	}
 	const batchCap = DefaultBatchSize
-	var boxed []*Batch
 	var typed []*TBatch
 	for off := 0; off < len(rows); off += batchCap {
 		end := min(off+batchCap, len(rows))
-		boxed = append(boxed, batchFromRows(7, batchCap, rows[off:end]))
 		typed = append(typed, tbatchFromRows(7, batchCap, rows[off:end]))
 	}
-	bev := bprog.NewEval(batchCap)
 	tev := tprog.NewEval(batchCap)
 	defer tev.Release()
 
@@ -105,16 +98,6 @@ func measureScanEngines(t *testing.T) map[string]benchScanEngine {
 			for i := 0; i < b.N; i++ {
 				for _, row := range rows {
 					if _, err := prog.EvalBool(row); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		},
-		"boxed-batch": func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, bt := range boxed {
-					if _, _, err := bprog.Filter(bev, bt, bev.Seq(bt.Len())); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -150,7 +133,7 @@ func TestWriteBenchScanJSON(t *testing.T) {
 		t.Skip("pass -bench-scan-json=PATH to write BENCH_scan.json")
 	}
 	out := benchScanFile{
-		Benchmark: "selective WHERE scan, four engines, one op = all rows",
+		Benchmark: "selective WHERE scan, three engines, one op = all rows",
 		Expr:      benchExpr,
 		Rows:      benchScanRowCount,
 		BatchSize: DefaultBatchSize,
@@ -180,7 +163,7 @@ func round2(f float64) float64 { return float64(int64(f*100+0.5)) / 100 }
 
 func summary(f benchScanFile) string {
 	s := ""
-	for _, name := range []string{"interpreted", "compiled", "boxed-batch", "typed-batch"} {
+	for _, name := range []string{"interpreted", "compiled", "typed-batch"} {
 		e := f.Engines[name]
 		s += fmt.Sprintf("%s %.1f ns/row (%d allocs); ", name, e.NsPerRow, e.AllocsPerOp)
 	}

@@ -3,7 +3,7 @@
 // the storage engine (row predicates, projections) and the cross-match
 // chain executor (cross-archive predicates over partial tuples).
 //
-// Four engines, layered slowest-reference to fastest-production, share
+// Three engines, layered slowest-reference to fastest-production, share
 // one semantics:
 //
 //   - Eval interprets the AST per row through Env lookups. It is the
@@ -11,28 +11,27 @@
 //   - Compile resolves column references to row slots against a Layout at
 //     plan time and returns a closure-tree Program evaluated per row. See
 //     compile.go.
-//   - CompileBatch returns a BatchProgram evaluated over boxed column
-//     slices ([]value.Value per slot) with a selection vector, in batches
-//     of BatchSize rows (default 1024). See batch.go for the execution
-//     model and the exact error-semantics contract (errRow: evaluation
-//     stops at the first selected row whose scalar evaluation would
-//     error).
 //   - CompileTyped returns a TypedProgram evaluated over typed column
 //     vectors (Vector: native []int64 / []float64 / []string / []bool
-//     payloads with a null mask, vector.go) with the same execution model
-//     and error contract. Kernels dispatch per batch on operand kinds and
-//     loop over raw slices; boxed fallbacks cover mixed-kind columns and
-//     the long tail. All hot scan sites — storage scans (zero-copy column
-//     views of the table backends, zone-map pruned), chain-step
-//     local/cross predicates (typed candidate gathers), portal
-//     projection, the pull baseline — run this engine. See typed.go.
+//     payloads with a null mask, vector.go) with a selection vector, in
+//     batches of BatchSize rows (default 1024). Kernels dispatch per batch
+//     on operand kinds and loop over raw slices; boxed fallbacks cover
+//     mixed-kind columns and the long tail. All hot scan sites — storage
+//     scans (zero-copy column views of the table backends, zone-map
+//     pruned), chain-step local/cross predicates (typed candidate
+//     gathers), portal projection, the pull baseline — run this engine.
+//     typed.go holds the batch execution model and the exact
+//     error-semantics contract (errRow: evaluation stops at the first
+//     selected row whose scalar evaluation would error).
 //
-// The earlier engines stay as cross-validation references for the later
-// ones, not as dead code: the long tail of batch evaluation (IN, BETWEEN,
-// COALESCE) reuses the compiled scalar nodes per row, every scalar
-// function dispatches to the same kernels from all four engines, and the
+// The earlier engines stay as references for the typed one, not as dead
+// code: the interpreter is the oracle; the compiled scalar engine folds
+// constants for the typed compiler, evaluates the long tail of batch
+// evaluation (IN, BETWEEN, COALESCE) per row, and defines the first
+// erroring row the typed engine must reproduce. Every scalar function
+// dispatches to the same kernels from all three engines, and the
 // differential tests plus the FuzzCompileDifferential /
-// FuzzBatchDifferential (four-way) fuzz targets enforce value- and
+// FuzzBatchDifferential (three-way) fuzz targets enforce value- and
 // error-agreement row by row.
 //
 // AnalyzePrune (prune.go) is the plan-time companion of the typed scan:

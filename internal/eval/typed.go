@@ -1,31 +1,56 @@
 package eval
 
-// This file is the fourth and fastest engine of the expression stack:
-// CompileTyped compiles an expression into a program evaluated over typed
-// column vectors (vector.go) — []int64 / []float64 / []string / []bool
-// payloads with a null mask — instead of the boxed []value.Value columns
-// the PR-3 batch engine (batch.go) reads. The execution model (selection
-// vectors, flattened AND/OR spines over a shrinking live set, batches of
-// BatchSize rows) and the error contract (evaluation stops at the first
-// selected row whose scalar evaluation would error; errRow reports it) are
-// identical to the boxed engine, which stays alongside the interpreter and
-// the compiled scalar engine as cross-validation references: the four-way
-// differential tests and FuzzBatchDifferential hold all four to agreement
-// on values and on the first erroring row.
+// This file is the production engine of the expression stack and the home
+// of its batch execution model. Eval (eval.go) interprets the AST row by
+// row; Compile (compile.go) turns it into a closure tree evaluated against
+// one scratch row; CompileTyped compiles it into a program evaluated over
+// typed column vectors (vector.go) — []int64 / []float64 / []string /
+// []bool payloads with a null mask, or a boxed []value.Value fallback for
+// columns whose cells mix types. Scan sites gather candidate rows into
+// fixed-size batches (BatchSize, default 1024), run the WHERE program once
+// per batch, and only then materialize the surviving rows, so the per-row
+// cost collapses to tight slice loops instead of a closure call per
+// expression node per row.
 //
-// Kernels dispatch per *batch* on the operand vectors' kinds, so the per-
-// row loops run over raw native slices: comparisons inline the int64/
-// float64/string/bool paths (mirroring value.Compare bug-for-bug,
-// including the float widening of int64 operands and NaN-compares-equal),
-// arithmetic inlines the int64 and float64 paths of value.Arith
-// (wraparound integer + - * %, always-float division, identical
-// division-by-zero errors), AND/OR fold member truth states with exact
-// Kleene semantics over arbitrary operand kinds, and constant-pattern LIKE
-// runs its matcher straight over the string payload. Anything else — a
-// boxed operand column, a mixed-kind pair, scalar functions outside the
-// float fast path, IN/BETWEEN/COALESCE — falls back per element to the
-// very kernels the row engines share, so the typed engine cannot drift
-// from them on the long tail.
+// The execution model:
+//
+//   - A TBatch holds up to Cap() rows in column-major order. Callers fill
+//     only the columns in TypedProgram.Refs() and SetLen to the row count.
+//   - A selection vector is a strictly increasing []int of batch positions.
+//     Filter reduces it to the rows where the predicate is TRUE. AND/OR
+//     spines are flattened into n-ary nodes that carry one truth-state
+//     accumulator and a shrinking "live" selection: each conjunct is
+//     evaluated only at the rows still undecided after the previous ones —
+//     exactly the rows the scalar engine's short-circuit would have reached
+//     it on — and decided rows are never rewritten.
+//   - Kernels dispatch per *batch* on the operand vectors' kinds, so the
+//     per-row loops run over raw native slices: comparisons inline the
+//     int64/float64/string/bool paths (mirroring value.Compare bug-for-bug,
+//     including the float widening of int64 operands and NaN-compares-
+//     equal), arithmetic inlines the int64 and float64 paths of value.Arith
+//     (wraparound integer + - * %, always-float division, identical
+//     division-by-zero errors), AND/OR fold member truth states with exact
+//     Kleene semantics over arbitrary operand kinds, and constant-pattern
+//     LIKE runs its matcher straight over the string payload. Anything
+//     else — a boxed operand column, a mixed-kind pair, scalar functions
+//     outside the float fast path, IN/BETWEEN/COALESCE — falls back per
+//     element to the very kernels the row engines share, so the typed
+//     engine cannot drift from them on the long tail.
+//
+// Error semantics mirror the row-at-a-time engines per row: evaluation
+// stops at the first selected row whose scalar evaluation would error, and
+// that row index is reported alongside the error (errRow). Rows before
+// errRow are fully evaluated, which lets scan sites with TOP decide whether
+// the row-at-a-time scan would have stopped before ever reaching the
+// failing row (and suppress the error exactly when it would have). When
+// several rows of a batch would error on different subexpressions, the
+// reported error is the one from the lowest row, like the sequential scan;
+// pipelines of several programs (local predicate, then cross predicates)
+// may surface a different member's error than the interleaved scalar loop
+// did, but never differ on error presence. The differential tests in
+// typed_test.go and FuzzBatchDifferential hold the typed engine, the
+// compiled scalar engine and the interpreter to agreement on values and on
+// errRow.
 //
 // Programs are immutable after CompileTyped and safe for concurrent use.
 // Per-evaluation scratch lives in a TypedEval (never share one between
@@ -37,10 +62,117 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"skyquery/internal/sqlparse"
 	"skyquery/internal/value"
 )
+
+// DefaultBatchSize is the number of rows scan sites gather per batch when
+// nothing overrides it. 1024 keeps a batch's working set (a handful of
+// value columns) inside the cache while amortizing per-batch overhead to
+// noise.
+const DefaultBatchSize = 1024
+
+// batchSize is the process-wide batch size knob; see BatchSize.
+var batchSize atomic.Int64
+
+func init() { batchSize.Store(DefaultBatchSize) }
+
+// BatchSize returns the row count scan sites use per evaluation batch.
+func BatchSize() int { return int(batchSize.Load()) }
+
+// SetBatchSize overrides the scan batch size (values < 1 select the
+// default). It exists for tests — the golden query corpus runs the full
+// portal at batch sizes {1, 3, 1024} to shake out batch-boundary bugs —
+// and for tuning experiments. Concurrent queries read it atomically, but
+// changing it mid-query only affects batches created afterwards.
+func SetBatchSize(n int) {
+	if n < 1 {
+		n = DefaultBatchSize
+	}
+	batchSize.Store(int64(n))
+}
+
+// UnionRefs merges slot lists (typically several programs' Refs) into one
+// sorted, duplicate-free list — the gather list for callers that fill one
+// batch for a pipeline of programs.
+func UnionRefs(lists ...[]int) []int {
+	seen := map[int]bool{}
+	var out []int
+	for _, refs := range lists {
+		for _, s := range refs {
+			if !seen[s] {
+				seen[s] = true
+				out = append(out, s)
+			}
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+// selBefore truncates an ascending selection to the rows before errRow
+// (errRow < 0 means no error: the whole selection is live).
+func selBefore(sel []int, errRow int) []int {
+	if errRow < 0 {
+		return sel
+	}
+	i := sort.SearchInts(sel, errRow)
+	return sel[:i]
+}
+
+// constVal is the folded outcome of a row-independent subtree: a value, or
+// an error that must keep surfacing at evaluation time (first selected
+// row), never at compile time — mirroring the scalar compiler's fold.
+type constVal struct {
+	v   value.Value
+	err error
+}
+
+// constFill records a constant vector to pre-fill when a TypedEval is
+// created, so constant subtrees cost nothing per batch.
+type constFill struct {
+	vec int
+	v   value.Value
+}
+
+// cmpOpKind maps a comparison operator to a loop-invariant discriminator,
+// so the batch loop branches on an integer the predictor locks onto
+// instead of calling a predicate closure per row.
+func cmpOpKind(op string) uint8 {
+	switch op {
+	case "=":
+		return 0
+	case "<>":
+		return 1
+	case "<":
+		return 2
+	case "<=":
+		return 3
+	case ">":
+		return 4
+	default: // ">="
+		return 5
+	}
+}
+
+func cmpKindHolds(kind uint8, c int) bool {
+	switch kind {
+	case 0:
+		return c == 0
+	case 1:
+		return c != 0
+	case 2:
+		return c < 0
+	case 3:
+		return c <= 0
+	case 4:
+		return c > 0
+	default:
+		return c >= 0
+	}
+}
 
 // tnodeFunc is a typed batch node body: it evaluates the subexpression at
 // the selected rows, returning a vector valid at every selected row below
@@ -138,9 +270,9 @@ func (n *texpr) eval(ev *TypedEval, b *TBatch, sel []int) (*Vector, int, error) 
 	}
 }
 
-// evalNary evaluates a flattened AND (isAnd) or OR spine exactly like the
-// boxed engine's evalAnd/evalOr: the accumulator starts as the first
-// member's truth state, later members run only at still-undecided rows —
+// evalNary evaluates a flattened AND (isAnd) or OR spine with the scalar
+// engine's short-circuit: the accumulator starts as the first member's
+// truth state, later members run only at still-undecided rows —
 // AND: not strictly FALSE; OR: not TRUE — and a member's failure truncates
 // the live set to the rows before it while evaluation continues, so the
 // reported error is the lowest row's, as the sequential scan surfaces it.
@@ -201,8 +333,8 @@ func (n *texpr) evalNary(ev *TypedEval, b *TBatch, sel []int, members []texpr, i
 	return out, errRow, err
 }
 
-// TypedProgram is a compiled typed batch expression. Like BatchProgram it
-// is immutable and safe for concurrent use; all mutable evaluation state
+// TypedProgram is a compiled typed batch expression. Like Program it is
+// immutable and safe for concurrent use; all mutable evaluation state
 // lives in a TypedEval.
 type TypedProgram struct {
 	root   texpr
@@ -308,8 +440,9 @@ func (ev *TypedEval) nullsOf(v *Vector) []bool {
 
 // CompileTyped compiles the expression into a typed batch program against
 // the layout. A nil expression compiles to a nil program, whose Filter
-// passes every row. Binding errors surface here, exactly as with Compile
-// and CompileBatch.
+// passes every row (the semantics of an absent WHERE clause). Binding
+// errors (unknown columns, functions, arities) surface here, exactly as
+// with Compile.
 func CompileTyped(e sqlparse.Expr, layout Layout) (*TypedProgram, error) {
 	if e == nil {
 		return nil, nil
@@ -365,9 +498,16 @@ func truthAt(v *Vector, r int) bool {
 }
 
 // Filter evaluates the program as a predicate over the selected rows and
-// returns the rows where it is TRUE, with the boxed engine's exact error
-// contract (see BatchProgram.Filter). The returned selection is owned by
-// ev and valid until its next use.
+// returns the rows where it is TRUE (NULL counts as false, as in a WHERE
+// clause). The returned selection is owned by ev and valid until its next
+// use. A nil program passes the selection through unchanged.
+//
+// On error, errRow is the first selected row whose evaluation failed and
+// the returned selection holds the passing rows before it — enough for
+// TOP-style callers to decide whether a row-at-a-time scan would have
+// stopped before the failure. errRow is -1 when err is nil, or when the
+// batch itself was malformed (an unfilled referenced column), which is
+// never suppressible.
 func (p *TypedProgram) Filter(ev *TypedEval, b *TBatch, sel []int) (passed []int, errRow int, err error) {
 	if p == nil {
 		return sel, -1, nil
@@ -455,7 +595,8 @@ func (c *typedCompiler) foldConst(e sqlparse.Expr) (*texpr, *constVal, error) {
 
 // scalarTail compiles the subtree with the scalar compiler and evaluates
 // it per selected row over a gathered (boxed) scratch row: the long-tail
-// path reuses the scalar kernels verbatim, exactly like the boxed engine.
+// path (IN, BETWEEN, COALESCE, dynamic-arity functions) reuses the scalar
+// kernels verbatim.
 func (c *typedCompiler) scalarTail(e sqlparse.Expr) (*texpr, *constVal, error) {
 	sub := &compiler{layout: c.layout, refs: map[int]bool{}}
 	n, isConst, err := sub.compile(e)
@@ -663,12 +804,21 @@ func (c *typedCompiler) compileBinary(n *sqlparse.BinaryExpr) (*texpr, *constVal
 
 	switch n.Op {
 	case "AND":
-		// Flatten only the left spine (the right side stays one member):
-		// value.And is not associative for non-bool operands, exactly as in
-		// the boxed engine (see batch.go).
+		// Flatten only the left spine: evalNary's left fold then reproduces
+		// the scalar engine's nesting exactly. The right side must stay a
+		// single member even when it is itself an AND — value.And is not
+		// associative once non-bool operands mix with NULL (And(5, TRUE) is
+		// FALSE but And(5, NULL) is NULL), so splicing a right-nested AND
+		// would re-associate and diverge from the row-at-a-time engines on
+		// both values and error presence.
 		members := append(tflattenAnd(l), *r)
 		return &texpr{and: members, vec: c.newVec(), state: c.newState(), live: c.newSel()}, nil, nil
 	case "OR":
+		// OR may flatten both sides: value.Or treats every non-TRUE,
+		// non-NULL operand uniformly as FALSE, so it is associative over
+		// the full value domain, and the flattened evaluation set (rows
+		// whose accumulator is not yet TRUE) is identical to the nested
+		// short-circuit's.
 		members := append(tflattenOr(l), tflattenOr(r)...)
 		return &texpr{or: members, vec: c.newVec(), state: c.newState(), live: c.newSel()}, nil, nil
 	case "+", "-", "*", "/", "%":

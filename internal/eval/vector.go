@@ -1,6 +1,6 @@
 package eval
 
-// This file defines the typed column vectors the fourth engine
+// This file defines the typed column vectors the batch engine
 // (CompileTyped, typed.go) evaluates over, and the slab pools their
 // payloads are drawn from. A Vector is one batch column: a native payload
 // slice — []int64, []float64, []string or []bool — plus a null mask, or a
@@ -420,7 +420,7 @@ func CompactTrue(dst []int, vals, nulls []bool, n int) []int {
 	return dst
 }
 
-// TBatch is the typed counterpart of Batch: one Vector per row slot.
+// TBatch is a column-major buffer of rows: one Vector per row slot.
 // Callers fill exactly the columns a program references (Refs) — via
 // zero-copy views, typed gathers, broadcasts or cell transposes — and
 // SetLen to the row count. Reuse it across batches; Release returns all

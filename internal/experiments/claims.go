@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -211,7 +212,7 @@ func C3HTMRange() (*Table, error) {
 		// Uniform on the sphere.
 		z := 2*rng.Float64() - 1
 		ra := rng.Float64() * 360
-		dec := sphere.DegPerRad * asin(z)
+		dec := sphere.DegPerRad * math.Asin(z)
 		if err := tab.Append(value.Int(int64(i)), value.Float(ra), value.Float(dec)); err != nil {
 			return nil, err
 		}
@@ -260,17 +261,6 @@ func C3HTMRange() (*Table, error) {
 	t.Notes = append(t.Notes,
 		"expected shape: orders of magnitude at arcsecond radii, converging to ~1x as the cap covers the sky")
 	return t, nil
-}
-
-func asin(x float64) float64 {
-	// Clamp for safety at the poles.
-	if x > 1 {
-		x = 1
-	}
-	if x < -1 {
-		x = -1
-	}
-	return mathAsin(x)
 }
 
 func formatRadius(deg float64) string {

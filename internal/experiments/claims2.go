@@ -3,13 +3,10 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"skyquery"
 )
-
-func mathAsin(x float64) float64 { return math.Asin(x) }
 
 // C5ChainVsPull compares the paper's daisy chain with the pull-to-portal
 // architecture it rejects (§5.1), sweeping the match selectivity via a

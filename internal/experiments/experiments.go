@@ -1,6 +1,6 @@
 // Package experiments regenerates every figure and quantified claim of
-// the paper's evaluation (see DESIGN.md's per-experiment index and
-// EXPERIMENTS.md for recorded results). Each experiment returns a Table;
+// the paper's evaluation: F1-F3 for its figures, C1-C7 for its
+// quantified claims. Each experiment returns a Table;
 // cmd/skyquery-bench prints them all, and the module-root benchmarks wrap
 // the same workloads in testing.B form.
 package experiments

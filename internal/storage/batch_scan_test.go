@@ -238,25 +238,3 @@ func TestSelectTopSuppressesErrorsPastTheBoundary(t *testing.T) {
 		})
 	}
 }
-
-// TestFillColumnGathers covers the batch feeders directly.
-func TestFillColumnGathers(t *testing.T) {
-	tab, err := NewTable("obj", objSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillObjects(t, tab, 10, 3)
-	rows := []int{7, 2, 5}
-	dst := make([]value.Value, 3)
-	tab.FillColumn(dst, 0, rows)
-	for i, r := range rows {
-		if dst[i].AsInt() != int64(r) {
-			t.Fatalf("FillColumn[%d] = %v, want %d", i, dst[i], r)
-		}
-	}
-	dst2 := make([]value.Value, 3)
-	tab.FillColumnSel(dst2, 0, rows, []int{1})
-	if dst2[1].AsInt() != 2 || !dst2[0].IsNull() || !dst2[2].IsNull() {
-		t.Fatalf("FillColumnSel = %v", dst2)
-	}
-}

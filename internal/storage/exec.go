@@ -75,17 +75,6 @@ func (t *Table) Layout(alias string) eval.Layout {
 	return tableLayout{t: t, alias: alias}
 }
 
-// FillRow copies the given schema slots of a row into buf (which must have
-// schema arity), leaving other slots untouched. It is the scratch-row
-// feeder for compiled programs: callers fill only a program's Refs. Like
-// ValueUnlocked it must run inside a read context (a Scan or Search*
-// callback, or the bulk-load-then-read phase discipline).
-func (t *Table) FillRow(buf []value.Value, row int, slots []int) {
-	for _, ci := range slots {
-		buf[ci] = t.cellLocked(row, ci)
-	}
-}
-
 // Execute runs a single-table query against the database. The query's FROM
 // clause must name exactly one table that exists here (the archive
 // qualifier, if any, is ignored: by the time a query reaches a SkyNode it

@@ -418,27 +418,6 @@ func (t *Table) Scan(fn func(row int) bool) {
 	}
 }
 
-// FillColumn gathers column ci of the given table rows into dst by batch
-// position: dst[i] = cell(rows[i], ci). It is the column-major feeder for
-// batch programs (eval.CompileBatch): scan sites collect candidate row
-// indices, then gather only the columns a program references. Like
-// ValueUnlocked it must run inside a read context (a Scan or Search*
-// callback, or the bulk-load-then-read phase discipline).
-func (t *Table) FillColumn(dst []value.Value, ci int, rows []int) {
-	for i, r := range rows {
-		dst[i] = t.cellLocked(r, ci)
-	}
-}
-
-// FillColumnSel is FillColumn restricted to the batch positions in sel:
-// dst[i] = cell(rows[i], ci) for i in sel. Scan sites use it to gather
-// projection columns only for the rows that survived the predicate.
-func (t *Table) FillColumnSel(dst []value.Value, ci int, rows []int, sel []int) {
-	for _, i := range sel {
-		dst[i] = t.cellLocked(rows[i], ci)
-	}
-}
-
 // SpatialConfig designates the position columns of a table and the HTM
 // leaf level at which objects are indexed.
 type SpatialConfig struct {

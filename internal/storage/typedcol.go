@@ -89,8 +89,8 @@ func (t *Table) ColumnView(dst *eval.Vector, ci, lo, hi int) {
 }
 
 // GatherColumn fills dst by batch position with column ci of the given
-// table rows (dst[k] = cell(rows[k], ci)), natively — the typed
-// counterpart of FillColumn, without boxing a cell.
+// table rows (dst[k] = cell(rows[k], ci)), natively, without boxing a
+// cell.
 func (t *Table) GatherColumn(dst *eval.Vector, ci int, rows []int) {
 	if t.memBase > 0 {
 		t.gatherCold(dst, ci, rows, nil)

@@ -23,7 +23,8 @@
 //   - talk to a remote Portal with Dial;
 //
 //   - run the pull-to-portal baseline and inspect execution plans, for
-//     the experiments in EXPERIMENTS.md.
+//     the experiments in internal/experiments (printed by
+//     cmd/skyquery-bench).
 //
 // # Contexts, options, errors
 //
