@@ -6,8 +6,8 @@ package eval
 // slice — []int64, []float64, []string or []bool — plus a null mask, or a
 // boxed []value.Value fallback for columns whose cells mix types. The
 // storage engine hands out zero-copy views over its typed column backends
-// (Table.Int64Col and friends slice directly into table memory), so a
-// base-table scan feeds typed kernels without boxing a single cell; gather
+// (Table.ColumnView slices directly into table memory), so a base-table
+// scan feeds typed kernels without boxing a single cell; gather
 // sites (HTM candidate lists, chain-step candidates, dataset transposes)
 // fill pooled scratch payloads instead.
 //

@@ -242,6 +242,13 @@ func (p *Plan) Validate() error {
 	if p.Steps[len(p.Steps)-1].DropOut {
 		return fmt.Errorf("plan: a drop-out archive cannot be last in call order")
 	}
+	// A veto carries none of the archive's columns forward, so a drop-out
+	// step has nothing to evaluate a cross-archive predicate against.
+	for i, s := range p.Steps {
+		if s.DropOut && len(s.CrossWhere) > 0 {
+			return fmt.Errorf("plan: drop-out step %d (%s) cannot carry cross predicates", i, s.Archive)
+		}
+	}
 	return nil
 }
 

@@ -46,6 +46,10 @@ func TestValidateErrors(t *testing.T) {
 		{"bad sigma", func(p *Plan) { p.Steps[0].SigmaArcsec = 0 }, "sigma"},
 		{"all dropouts", func(p *Plan) { p.Steps[0].DropOut = true; p.Steps[1].DropOut = true }, "mandatory"},
 		{"dropout last", func(p *Plan) { p.Steps[1].DropOut = true }, "cannot be last"},
+		{"dropout cross predicate", func(p *Plan) {
+			p.Steps[0].DropOut = true
+			p.Steps[0].CrossWhere = []string{"(O.i_flux - T.i_flux) > 2"}
+		}, "cross predicates"},
 	}
 	for _, m := range mutations {
 		p := samplePlan()

@@ -12,12 +12,16 @@
 //
 // # Predicate pushdown below the HTM search
 //
-// Each chain step (seed, extend, drop-out — see step.go) compiles its
-// LocalWhere/CrossWhere predicates once and evaluates them with the typed
-// batch engine over natively gathered candidate columns. Before any of
-// that, the step mines the predicate sequence with eval.AnalyzeChainPrune
-// for conjuncts comparing a candidate-table column against a constant and
-// hands them to the archive table's zone maps (storage.CandPruner): HTM
+// A chain step runs one of two runners (see step.go): the seed step scans
+// the AREA for its 1-tuples, and every later step runs one cap-join
+// kernel that searches around each incoming tuple and either extends it
+// (mandatory archive) or vetoes it (drop-out archive). Either runner
+// compiles its LocalWhere/CrossWhere predicates once and evaluates them
+// with the typed batch engine over natively gathered candidate columns.
+// Before any of that, the step mines the predicate sequence with
+// eval.AnalyzeChainPrune for conjuncts comparing a candidate-table column
+// against a constant and hands them to the archive table's zone maps
+// (storage.CandPruner): HTM
 // candidates whose per-1024-row block provably cannot satisfy such a
 // conjunct are dropped inside the index walk — before their position is
 // computed, before the AREA containment test, before the chi-square gate,

@@ -194,8 +194,11 @@ func (n *Node) handleCrossMatch(r *soap.Request) (interface{}, error) {
 		chunkRows = n.cfg.ChunkRows
 	}
 	ctx := r.Context()
-	if r.WantsStream() {
-		return n.crossMatchStream(ctx, &req, p, step, chunkRows), nil
+	// An isolated step's input is already folded in the coordinator's
+	// stash, so it always answers with the parked-chunk response, which
+	// soap.OpenStream consumes through its buffered fallback.
+	if r.WantsStream() && !req.Isolated {
+		return n.crossMatchStream(ctx, p, step, chunkRows), nil
 	}
 
 	incoming, err := n.stepIncoming(ctx, &req, p)
@@ -265,11 +268,8 @@ func (n *Node) stepIncoming(ctx context.Context, req *CrossMatchRequest, p *plan
 // the first byte has been written cannot become SOAP faults any more;
 // they travel in-band as columnar error frames and surface to the
 // consumer as a typed *dataset.StreamError.
-func (n *Node) crossMatchStream(ctx context.Context, req *CrossMatchRequest, p *plan.Plan, step plan.Step, chunkRows int) *soap.ChunkedStream {
+func (n *Node) crossMatchStream(ctx context.Context, p *plan.Plan, step plan.Step, chunkRows int) *soap.ChunkedStream {
 	return &soap.ChunkedStream{Run: func(sw *soap.StreamWriter) error {
-		if req.Isolated {
-			return n.isolatedStream(ctx, req, p, step, chunkRows, sw)
-		}
 		next := p.Next(n.cfg.Name)
 		if next == nil {
 			return n.seedStream(p, step, chunkRows, sw)
@@ -326,49 +326,6 @@ func (n *Node) crossMatchStream(ctx context.Context, req *CrossMatchRequest, p *
 		n.emit("xmatch.return", "%d tuples streamed", sw.Rows())
 		return nil
 	}}
-}
-
-// isolatedStream is the streamed form of an isolated chain step: the
-// incoming tuples come from the coordinator's stash (or nowhere, for a
-// seed), run through the step, and the outputs stream back re-paged.
-// The incoming set is materialized — it was already folded when the
-// coordinator stashed it — so only the output side streams.
-func (n *Node) isolatedStream(ctx context.Context, req *CrossMatchRequest, p *plan.Plan, step plan.Step, chunkRows int, sw *soap.StreamWriter) error {
-	if req.Incoming == nil {
-		return n.seedStream(p, step, chunkRows, sw)
-	}
-	incoming, err := n.stepIncoming(ctx, req, p)
-	if err != nil {
-		return err
-	}
-	r, err := n.newStepRunner(p, step, incoming.Columns)
-	if err != nil {
-		return fmt.Errorf("skynode %s: %w", n.cfg.Name, err)
-	}
-	defer r.close()
-	if step.DropOut {
-		n.emit("xmatch.dropout", "isolated step")
-	} else {
-		n.emit("xmatch.step", "isolated step")
-	}
-	release, err := n.admit(estimateDataSetBytes(incoming))
-	if err != nil {
-		return err
-	}
-	out, stepErr := r.run(incoming.Rows)
-	release()
-	if stepErr != nil {
-		return fmt.Errorf("skynode %s: %w", n.cfg.Name, stepErr)
-	}
-	if err := sw.Schema(r.outCols); err != nil {
-		return err
-	}
-	if err := writePaged(sw, out, chunkRows); err != nil {
-		return err
-	}
-	n.tuplesOut.Add(int64(len(out)))
-	n.emit("xmatch.return", "%d tuples streamed", len(out))
-	return nil
 }
 
 // seedStream emits the seed step's 1-tuples in pages. The seed search

@@ -2,7 +2,7 @@ package skynode
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -143,10 +143,7 @@ func (n *Node) newStepRunner(p *plan.Plan, step plan.Step, incomingCols []datase
 	if len(incomingCols) < xmatch.NumAccCols {
 		return nil, fmt.Errorf("malformed partial-tuple schema: %d columns, want at least %d", len(incomingCols), xmatch.NumAccCols)
 	}
-	if step.DropOut {
-		return n.newDropOutRunner(p, table, step, area, localWhere, incomingCols)
-	}
-	return n.newExtendRunner(p, table, step, area, localWhere, crossWhere, incomingCols)
+	return n.newCapJoinRunner(p, table, step, area, localWhere, crossWhere, incomingCols)
 }
 
 // localStep performs this node's part of the cross match over a whole
@@ -296,12 +293,17 @@ func (n *Node) newSeedRunner(p *plan.Plan, table *storage.Table, step plan.Step,
 	}, nil
 }
 
-// newExtendRunner compiles the mandatory-archive chain step: §5.3's
-// spatial join, where each incoming tuple searches this archive's
-// primary table around its current best position. (The folded path
-// parks the incoming tuples in a temporary table first, as the paper's
-// stored procedure does; see localStep.)
-func (n *Node) newExtendRunner(p *plan.Plan, table *storage.Table, step plan.Step, area sphere.Region,
+// newCapJoinRunner compiles every chain step after the seed: §5.3's
+// spatial join, where each incoming tuple searches this archive's primary
+// table around its current best position and the candidates pass the
+// local predicate and the chi-square gate. A mandatory archive extends
+// the tuple with every gate match that also passes the cross predicates;
+// a drop-out archive vetoes the tuple on its first gate match — the
+// "exclusive outer join" of §5.2 — and passes the rest through with their
+// schema unchanged. (The folded path parks the incoming tuples in a
+// temporary table first, as the paper's stored procedure does; see
+// localStep.)
+func (n *Node) newCapJoinRunner(p *plan.Plan, table *storage.Table, step plan.Step, area sphere.Region,
 	localWhere sqlparse.Expr, crossWhere []sqlparse.Expr, incomingCols []dataset.Column) (*stepRunner, error) {
 
 	priorCols := incomingCols[xmatch.NumAccCols:]
@@ -312,7 +314,9 @@ func (n *Node) newExtendRunner(p *plan.Plan, table *storage.Table, step plan.Ste
 	// schema order. References qualified by this step's alias bind to the
 	// candidate; everything else binds to the carried columns (with
 	// MapEnv's bare-name fallback). Binding errors therefore surface here,
-	// before any tuple is touched.
+	// before any tuple is touched. A drop-out step has no cross predicates
+	// (plan.Validate rejects them), so its veto predicate sees only the
+	// candidate.
 	npc := len(priorCols)
 	schema := table.Schema()
 	width := npc + len(schema)
@@ -348,7 +352,10 @@ func (n *Node) newExtendRunner(p *plan.Plan, table *storage.Table, step plan.Ste
 	// consult it below the HTM search, so candidates from provably dead
 	// blocks never get a position test, a chi-square gate entry, or a
 	// typed gather. The residual programs above run unchanged on the
-	// survivors — zone statistics prove blocks dead, never rows live.
+	// survivors — zone statistics prove blocks dead, never rows live. A
+	// candidate from a pruned block can never pass a veto predicate either,
+	// so pruning cannot flip a veto, and the exactness conditions keep it
+	// from surfacing or hiding an error.
 	var pruner *storage.CandPruner
 	if candPruneEnabled.Load() {
 		seq := []eval.PruneExpr{{Expr: localWhere, Layout: offsetLayout(tl, npc)}}
@@ -369,7 +376,9 @@ func (n *Node) newExtendRunner(p *plan.Plan, table *storage.Table, step plan.Ste
 	// Adaptive batching: the step's flush threshold follows the local
 	// predicate's observed selectivity, so a step whose full batches are
 	// mostly discarded stops gathering and broadcasting full-width ones.
-	// The floor comes from the table's recorded utilization history.
+	// Drop-out steps profit most: a veto usually arrives early in a batch
+	// and everything gathered past it was wasted work. The floor comes from
+	// the table's recorded utilization history.
 	sizer := eval.NewBatchSizerFromTrace(n.batchTrace(step.Table))
 	accept := func(_ int, pos sphere.Vec) bool {
 		// Every observation in the result must lie in the query AREA.
@@ -380,25 +389,24 @@ func (n *Node) newExtendRunner(p *plan.Plan, table *storage.Table, step plan.Ste
 	// predicate's candidate columns are gathered for every candidate, and
 	// cross-only candidate columns only for the rows that survived both
 	// the local predicate and the chi-square gate.
-	localRefs := candidateRefs(npc, localProg)
-	crossRefs := candidateRefsExcept(npc, crossProgs, localRefs)
-	var priorSlots []int
-	for _, s := range localProg.Refs() {
-		if s < npc {
-			priorSlots = append(priorSlots, s)
-		}
-	}
+	refs := [][]int{localProg.Refs()}
 	for _, cp := range crossProgs {
-		for _, s := range cp.Refs() {
-			if s < npc {
-				priorSlots = append(priorSlots, s)
-			}
+		refs = append(refs, cp.Refs())
+	}
+	var priorSlots, localRefs, crossRefs []int
+	for _, s := range eval.UnionRefs(refs...) {
+		switch {
+		case s < npc:
+			priorSlots = append(priorSlots, s)
+		case slices.Contains(localProg.Refs(), s):
+			localRefs = append(localRefs, s-npc)
+		default:
+			crossRefs = append(crossRefs, s-npc)
 		}
 	}
-	priorSlots = eval.UnionRefs(priorSlots)
 
 	bs := eval.BatchSize()
-	type extScratch struct {
+	type joinScratch struct {
 		batch    *eval.TBatch
 		localEv  *eval.TypedEval
 		crossEvs []*eval.TypedEval
@@ -406,8 +414,8 @@ func (n *Node) newExtendRunner(p *plan.Plan, table *storage.Table, step plan.Ste
 		accs     []xmatch.Accumulator
 		gate     []int
 	}
-	scratch := newScratchList(func() *extScratch {
-		sc := &extScratch{
+	scratch := newScratchList(func() *joinScratch {
+		sc := &joinScratch{
 			batch:   eval.NewTBatch(width, bs),
 			localEv: localProg.NewEval(bs),
 			sb: storage.SearchBatch{
@@ -424,13 +432,13 @@ func (n *Node) newExtendRunner(p *plan.Plan, table *storage.Table, step plan.Ste
 		}
 		return sc
 	})
-	// Each incoming tuple extends independently (§5.3 is embarrassingly
+	// Each incoming tuple joins independently (§5.3 is embarrassingly
 	// parallel per partial tuple); workers each take whole tuples, draw
 	// the tuple's candidate blocks from the pruned batch search in search
-	// order, and the per-tuple extension groups are merged in input order,
-	// so the output is identical to the sequential, row-at-a-time scan's.
-	// One run call handles one batch of tuples; the scratch free-list and
-	// the adaptive sizer persist across calls, so a streamed step warms up
+	// order, and the per-tuple outputs are merged in input order, so the
+	// result is identical to the sequential, row-at-a-time scan's. One run
+	// call handles one batch of tuples; the scratch free-list and the
+	// adaptive sizer persist across calls, so a streamed step warms up
 	// once, not per page.
 	run := func(rows [][]value.Value) ([][]value.Value, error) {
 		return forEachOrdered(len(rows), n.parallelism(p.Parallelism), func(tRow int) ([][]value.Value, error) {
@@ -439,13 +447,18 @@ func (n *Node) newExtendRunner(p *plan.Plan, table *storage.Table, step plan.Ste
 			if err != nil {
 				return nil, err
 			}
+			// A tuple without a gate match yields nothing on a mandatory
+			// archive and survives a drop-out one.
+			var out [][]value.Value
+			if step.DropOut {
+				out = [][]value.Value{row}
+			}
 			radius := acc.SearchRadius(p.Threshold, step.SigmaArcsec)
 			if radius <= 0 {
-				return nil, nil
+				return out, nil
 			}
 			sc := scratch.get()
 			defer scratch.put(sc)
-			var ext [][]value.Value
 			var stepErr error
 			process := func(cand []int, poss []sphere.Vec) bool {
 				cn := len(cand)
@@ -460,6 +473,27 @@ func (n *Node) newExtendRunner(p *plan.Plan, table *storage.Table, step plan.Ste
 					table.GatherColumn(sc.batch.Col(npc+ci), ci, cand)
 				}
 				sel, _, err := localProg.Filter(sc.localEv, sc.batch, sc.localEv.Seq(cn))
+				if step.DropOut {
+					// sel holds the candidates before any failing one, in
+					// search order, and the first gate match among them vetoes.
+					// The row-at-a-time loop stopped there, so a predicate
+					// error at a later candidate is suppressed exactly as that
+					// loop (which never reached it) would have — the veto
+					// wins, the error does not exist.
+					for _, i := range sel {
+						if acc.Add(poss[i], step.SigmaArcsec).Matches(p.Threshold) {
+							out = nil
+							sizer.Observe(cn, i+1)
+							return false
+						}
+					}
+					if err != nil {
+						stepErr = err
+						return false
+					}
+					sizer.Observe(cn, cn)
+					return true
+				}
 				if err != nil {
 					stepErr = err
 					return false
@@ -491,7 +525,7 @@ func (n *Node) newExtendRunner(p *plan.Plan, table *storage.Table, step plan.Ste
 					cells := xmatch.AccToCells(sc.accs[i])
 					cells = append(cells, row[xmatch.NumAccCols:]...)
 					cells = append(cells, n.columnCells(table, step, cand[i])...)
-					ext = append(ext, cells)
+					out = append(out, cells)
 				}
 				return true
 			}
@@ -503,14 +537,18 @@ func (n *Node) newExtendRunner(p *plan.Plan, table *storage.Table, step plan.Ste
 			if stepErr != nil {
 				return nil, stepErr
 			}
-			return ext, nil
+			return out, nil
 		})
 	}
+	outCols := incomingCols
+	if !step.DropOut {
+		outCols = n.tupleColumns(incomingCols, table, step)
+	}
 	return &stepRunner{
-		outCols: n.tupleColumns(incomingCols, table, step),
+		outCols: outCols,
 		run:     run,
 		close: func() {
-			scratch.release(func(sc *extScratch) {
+			scratch.release(func(sc *joinScratch) {
 				sc.batch.Release()
 				sc.localEv.Release()
 				for _, ev := range sc.crossEvs {
@@ -521,9 +559,9 @@ func (n *Node) newExtendRunner(p *plan.Plan, table *storage.Table, step plan.Ste
 	}, nil
 }
 
-// offsetLayout shifts every slot of a layout by off: extendStep compiles
-// the candidate-table predicate against the combined tuple row, whose
-// candidate portion starts at the offset.
+// offsetLayout shifts every slot of a layout by off: the cap-join kernel
+// compiles the candidate-table predicate against the combined tuple row,
+// whose candidate portion starts at the offset.
 func offsetLayout(l eval.Layout, off int) eval.Layout {
 	return eval.LayoutFunc(func(table, column string) (int, error) {
 		s, err := l.Slot(table, column)
@@ -532,156 +570,6 @@ func offsetLayout(l eval.Layout, off int) eval.Layout {
 		}
 		return off + s, nil
 	})
-}
-
-// candidateRefs extracts the candidate-table column indices (slots at or
-// beyond the carried-column prefix) a program reads.
-func candidateRefs(npc int, prog *eval.TypedProgram) []int {
-	var out []int
-	for _, s := range prog.Refs() {
-		if s >= npc {
-			out = append(out, s-npc)
-		}
-	}
-	return out
-}
-
-// candidateRefsExcept is candidateRefs over several programs, minus
-// indices already in the exclude list (they are filled earlier).
-func candidateRefsExcept(npc int, progs []*eval.TypedProgram, exclude []int) []int {
-	skip := map[int]bool{}
-	for _, ci := range exclude {
-		skip[ci] = true
-	}
-	var out []int
-	for _, p := range progs {
-		for _, ci := range candidateRefs(npc, p) {
-			if !skip[ci] {
-				skip[ci] = true
-				out = append(out, ci)
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// newDropOutRunner compiles the drop-out step: it vetoes tuples with a
-// matching observation in this archive — the "exclusive outer join" of
-// §5.2. Surviving tuples pass through with their schema unchanged.
-func (n *Node) newDropOutRunner(p *plan.Plan, table *storage.Table, step plan.Step, area sphere.Region,
-	localWhere sqlparse.Expr, incomingCols []dataset.Column) (*stepRunner, error) {
-
-	// The veto predicate only sees this archive's candidate rows, so it
-	// compiles against the plain table layout.
-	localProg, err := eval.CompileTyped(localWhere, table.Layout(step.Alias))
-	if err != nil {
-		return nil, fmt.Errorf("compiling local predicate %q: %w", step.LocalWhere, err)
-	}
-	schema := table.Schema()
-	refs := localProg.Refs()
-	bs := eval.BatchSize()
-	// A candidate from a pruned block can never pass the veto predicate
-	// (its conjunct is never TRUE there), so dropping it below the search
-	// cannot flip a veto — and the exactness conditions guarantee it
-	// cannot surface or hide an error either.
-	var pruner *storage.CandPruner
-	if candPruneEnabled.Load() {
-		// Veto-predicate slots are schema positions, like the seed step's.
-		ps := eval.AnalyzePrune(localWhere, table.Layout(step.Alias),
-			func(s int) value.Type { return schema[s].Type })
-		pruner = table.CandPruner(ps)
-	}
-	// Drop-out steps profit most from adaptive batching: a veto usually
-	// arrives early in a batch, and everything gathered past it was
-	// wasted work, so frequently-vetoing steps shrink their batches —
-	// and the table's recorded trace lets the next query start with a
-	// floor matched to how early the vetoes actually landed.
-	sizer := eval.NewBatchSizerFromTrace(n.batchTrace(step.Table))
-	accept := func(_ int, pos sphere.Vec) bool { return area.Contains(pos) }
-	type vetoScratch struct {
-		batch *eval.TBatch
-		ev    *eval.TypedEval
-		sb    storage.SearchBatch
-	}
-	scratch := newScratchList(func() *vetoScratch {
-		return &vetoScratch{
-			batch: eval.NewTBatch(len(schema), bs),
-			ev:    localProg.NewEval(bs),
-			sb: storage.SearchBatch{
-				Rows:   make([]int, 0, bs),
-				Pos:    make([]sphere.Vec, 0, bs),
-				Prune:  pruner,
-				Accept: accept,
-			},
-		}
-	})
-	// Veto checks are independent per tuple; survivors are merged back in
-	// input order (see newExtendRunner). Candidates batch in search order;
-	// the first gate-matching candidate vetoes. The row-at-a-time loop
-	// stopped there, so a predicate error at a *later* candidate of the
-	// same batch is suppressed exactly as that loop (which never reached
-	// it) would have — the veto wins, the error does not exist.
-	run := func(rows [][]value.Value) ([][]value.Value, error) {
-		return forEachOrdered(len(rows), n.parallelism(p.Parallelism), func(tRow int) ([][]value.Value, error) {
-			row := rows[tRow]
-			acc, err := xmatch.CellsToAcc(row)
-			if err != nil {
-				return nil, err
-			}
-			radius := acc.SearchRadius(p.Threshold, step.SigmaArcsec)
-			vetoed := false
-			if radius > 0 {
-				sc := scratch.get()
-				var stepErr error
-				process := func(cand []int, poss []sphere.Vec) bool {
-					cn := len(cand)
-					sc.batch.SetLen(cn)
-					for _, ci := range refs {
-						table.GatherColumn(sc.batch.Col(ci), ci, cand)
-					}
-					sel, _, err := localProg.Filter(sc.ev, sc.batch, sc.ev.Seq(cn))
-					// sel holds the candidates before any failing one, in
-					// search order: a gate match among them vetoes before the
-					// failure would have been reached.
-					for _, i := range sel {
-						if acc.Add(poss[i], step.SigmaArcsec).Matches(p.Threshold) {
-							vetoed = true
-							sizer.Observe(cn, i+1)
-							return false
-						}
-					}
-					if err != nil {
-						stepErr = err
-						return false
-					}
-					sizer.Observe(cn, cn)
-					return true
-				}
-				searchCap := sphere.CapAround(acc.Best(), radius)
-				sc.sb.Limit = sizer.Size()
-				err = table.SearchCapBatch(searchCap, &sc.sb, process)
-				scratch.put(sc)
-				if err != nil {
-					return nil, err
-				}
-				if stepErr != nil {
-					return nil, stepErr
-				}
-			}
-			if vetoed {
-				return nil, nil
-			}
-			return [][]value.Value{row}, nil
-		})
-	}
-	return &stepRunner{
-		outCols: incomingCols,
-		run:     run,
-		close: func() {
-			scratch.release(func(sc *vetoScratch) { sc.batch.Release(); sc.ev.Release() })
-		},
-	}, nil
 }
 
 // tupleColumns builds the output tuple schema: accumulator columns, the

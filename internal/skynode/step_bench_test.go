@@ -125,7 +125,7 @@ func BenchmarkChainStepPruned(b *testing.B) {
 	}
 }
 
-// BenchmarkLocalStep isolates one extendStep from the SOAP plumbing: the
+// BenchmarkLocalStep isolates one extend step from the SOAP plumbing: the
 // seed tuples are produced once, then the mandatory step over the densest
 // archive is timed at several worker counts.
 func BenchmarkLocalStep(b *testing.B) {

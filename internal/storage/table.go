@@ -24,8 +24,8 @@
 // Scans run the typed batch engine (eval.CompileTyped) straight over the
 // columnar backends. Two disciplines matter:
 //
-//   - Read discipline: the typed column views (Int64Col, ColumnView and
-//     the Gather* helpers in typedcol.go) hand out the live backing
+//   - Read discipline: the typed column views (ColumnView and the
+//     Gather* helpers in typedcol.go) hand out the live backing
 //     slices. Like ValueUnlocked they must only be used inside a read
 //     context — a Scan/Search* callback, a BeginRead/EndRead section, or
 //     the federation's bulk-load-then-read phase discipline — and never

@@ -23,41 +23,6 @@ import (
 	"skyquery/internal/eval"
 )
 
-// Int64Col returns the value and null slices backing an INT column — a
-// zero-copy view into table storage. ok is false for other column types,
-// and for disk-backed tables (whose columns are not a single resident
-// slice; use ColumnView or GatherColumn there).
-func (t *Table) Int64Col(ci int) (vals []int64, nulls []bool, ok bool) {
-	if c, isInt := t.cols[ci].(*intColumn); isInt && t.persist == nil {
-		return c.vals, c.nulls, true
-	}
-	return nil, nil, false
-}
-
-// Float64Col is Int64Col for FLOAT columns.
-func (t *Table) Float64Col(ci int) (vals []float64, nulls []bool, ok bool) {
-	if c, isFloat := t.cols[ci].(*floatColumn); isFloat && t.persist == nil {
-		return c.vals, c.nulls, true
-	}
-	return nil, nil, false
-}
-
-// StringCol is Int64Col for STRING columns.
-func (t *Table) StringCol(ci int) (vals []string, nulls []bool, ok bool) {
-	if c, isStr := t.cols[ci].(*stringColumn); isStr && t.persist == nil {
-		return c.vals, c.nulls, true
-	}
-	return nil, nil, false
-}
-
-// BoolCol is Int64Col for BOOL columns.
-func (t *Table) BoolCol(ci int) (vals []bool, nulls []bool, ok bool) {
-	if c, isBool := t.cols[ci].(*boolColumn); isBool && t.persist == nil {
-		return c.vals, c.nulls, true
-	}
-	return nil, nil, false
-}
-
 // viewColumn points dst at rows [lo, hi) of a column backend (indices
 // relative to that backend's slices).
 func viewColumn(dst *eval.Vector, col column, lo, hi int) {
