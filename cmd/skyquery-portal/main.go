@@ -41,7 +41,6 @@ func main() {
 	planCache := flag.Int("plan-cache", 0, "compiled-plan cache entries per generation (0 = 256 default, negative = disabled)")
 	retryOverloaded := flag.Int("retry-overloaded", 4, "retries with doubling backoff when a node sheds a query as overloaded")
 	countProbeOrder := flag.Bool("count-probe-order", false, "order chains by the count-star rule alone, ignoring node column statistics")
-	adaptiveReorder := flag.Bool("adaptive-reorder", false, "let chain nodes re-order the downstream suffix when live estimates diverge from the plan")
 	shardMap := flag.String("shard-map", "", "file of static shard registrations (archive INDEX:COUNT LEVEL LO-HI endpoint [follower] per line); entries retry until their node is up")
 	verbose := flag.Bool("v", false, "log query trace events")
 	flag.Parse()
@@ -56,7 +55,6 @@ func main() {
 		Parallelism:         *parallelism,
 		PlanCacheSize:       *planCache,
 		CountProbeOrder:     *countProbeOrder,
-		AdaptiveReorder:     *adaptiveReorder,
 		Codec:               portalCodec,
 		Client:              &soap.Client{Codec: portalCodec, MaxRetries: *retryOverloaded},
 	}

@@ -124,10 +124,6 @@ type Options struct {
 	// of §5.3, ignoring node column statistics. The default (false)
 	// orders by the transfer-cost model when statistics are available.
 	CountProbeOrder bool
-	// AdaptiveReorder stamps plans with permission for chain nodes to
-	// re-order the not-yet-called downstream suffix when live estimates
-	// diverge from the plan's. Results are bit-identical either way.
-	AdaptiveReorder bool
 	// PortalEvents and NodeEvents receive trace events when set.
 	PortalEvents func(kind, detail string)
 	NodeEvents   func(node, kind, detail string)
@@ -251,7 +247,6 @@ func Launch(opts Options) (*Federation, error) {
 		Parallelism:         opts.Parallelism,
 		PlanCacheSize:       opts.PlanCacheSize,
 		CountProbeOrder:     opts.CountProbeOrder,
-		AdaptiveReorder:     opts.AdaptiveReorder,
 		Codec:               opts.Codec,
 		OnEvent:             portalEvents,
 	})

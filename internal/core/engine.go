@@ -139,10 +139,6 @@ type Engine struct {
 	// (false) orders by the transfer-cost model whenever statistics are
 	// available.
 	CountProbeOrder bool
-	// AdaptiveReorder stamps plans with permission for chain nodes to
-	// re-order the not-yet-called downstream suffix when live estimates
-	// diverge from the plan's (see plan.Plan.AdaptiveReorder).
-	AdaptiveReorder bool
 	// OnEvent, when set, receives trace events.
 	OnEvent func(Event)
 
@@ -164,19 +160,9 @@ func (e *Engine) emit(kind, format string, args ...interface{}) {
 // across requests, amortizing the parse/validate/plan (and its count-star
 // round-trips) over every re-submission of the same query text.
 type Prepared struct {
-	key  string
 	q    *sqlparse.Query
 	plan *plan.Plan // nil for pass-through (non-XMATCH) queries
 }
-
-// Key returns the canonical form of the prepared query: the parser's
-// printed AST, identical for every formatting (whitespace, keyword case)
-// of the same query. Caches use it as their lookup key.
-func (p *Prepared) Key() string { return p.key }
-
-// IsCrossMatch reports whether the prepared query carries a chain plan
-// (false for single-archive pass-through queries).
-func (p *Prepared) IsCrossMatch() bool { return p.plan != nil }
 
 // Execute parses and runs a query, returning the final result set.
 // Cancelling ctx aborts the probes and the chain mid-flight.
@@ -202,7 +188,7 @@ func (e *Engine) Prepare(ctx context.Context, sql string) (*Prepared, error) {
 	if err := sqlparse.Validate(q); err != nil {
 		return nil, err
 	}
-	prep := &Prepared{key: q.String(), q: q}
+	prep := &Prepared{q: q}
 	if q.XMatch != nil {
 		p, err := e.BuildPlan(ctx, q)
 		if err != nil {

@@ -214,13 +214,12 @@ func (e *Engine) BuildPlan(ctx context.Context, q *sqlparse.Query) (*plan.Plan, 
 	}
 	assignCrossPredicates(ordered, d)
 	p := &plan.Plan{
-		QueryID:         e.queryID(),
-		Threshold:       q.XMatch.Threshold,
-		Area:            area,
-		Steps:           ordered,
-		ChunkRows:       e.chunkRows(),
-		Parallelism:     e.Parallelism,
-		AdaptiveReorder: e.AdaptiveReorder,
+		QueryID:     e.queryID(),
+		Threshold:   q.XMatch.Threshold,
+		Area:        area,
+		Steps:       ordered,
+		ChunkRows:   e.chunkRows(),
+		Parallelism: e.Parallelism,
 	}
 	for _, item := range q.Select {
 		p.SelectList = append(p.SelectList, item.Expr.String())

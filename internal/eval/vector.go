@@ -44,21 +44,6 @@ const (
 	VecBool
 )
 
-// KindOf maps a column type to the vector kind that carries it natively.
-func KindOf(t value.Type) VecKind {
-	switch t {
-	case value.IntType:
-		return VecInt
-	case value.FloatType:
-		return VecFloat
-	case value.StringType:
-		return VecStr
-	case value.BoolType:
-		return VecBool
-	}
-	return VecBoxed
-}
-
 // Vector is one batch column in native form: exactly one payload slice is
 // active (per Kind), indexed by batch position. For the typed kinds, Nulls
 // marks NULL rows; a nil Nulls means no row is NULL. The exported slices
@@ -442,9 +427,6 @@ func NewTBatch(width, capacity int) *TBatch {
 
 // Width returns the slot width.
 func (b *TBatch) Width() int { return len(b.cols) }
-
-// Cap returns the row capacity.
-func (b *TBatch) Cap() int { return b.cap }
 
 // Len returns the current row count.
 func (b *TBatch) Len() int { return b.n }

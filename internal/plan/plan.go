@@ -69,10 +69,10 @@ func (s *Step) RowBytes() float64 {
 	return 24 + 12*float64(len(s.Columns))
 }
 
-// CostOf is the shared transfer-cost model of the planner and the
-// mid-chain re-orderer: estimated surviving rows times per-row bytes,
-// divided by the observed throughput of the node's path (bytes/sec;
-// pass 1 when unknown to fall back to relative byte volume).
+// CostOf is the planner's transfer-cost model: estimated surviving
+// rows times per-row bytes, divided by the observed throughput of the
+// node's path (bytes/sec; pass 1 when unknown to fall back to relative
+// byte volume).
 func CostOf(s *Step, throughputBps float64) float64 {
 	if throughputBps <= 0 {
 		throughputBps = 1
@@ -175,12 +175,6 @@ type Plan struct {
 	// 0 leaves the choice to the node (GOMAXPROCS), 1 forces the
 	// sequential path.
 	Parallelism int `xml:"parallelism,attr,omitempty"`
-	// AdaptiveReorder permits chain nodes to re-order the not-yet-called
-	// downstream suffix of the plan when their live cost estimates
-	// (observed per-host throughput, learned step selectivity) diverge
-	// from the plan's by more than the re-order threshold. Results are
-	// bit-identical either way; only transfer volume and latency change.
-	AdaptiveReorder bool `xml:"adaptiveReorder,attr,omitempty"`
 }
 
 // StepIndex returns the position of the step for the given archive, or -1.

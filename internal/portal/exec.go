@@ -28,7 +28,6 @@ func (p *Portal) engine() *core.Engine {
 			Parallelism:         p.cfg.Parallelism,
 			IncludeMatchColumns: p.cfg.IncludeMatchColumns,
 			CountProbeOrder:     p.cfg.CountProbeOrder,
-			AdaptiveReorder:     p.cfg.AdaptiveReorder,
 			OnEvent: func(ev core.Event) {
 				p.emit(ev.Kind, "%s", ev.Detail)
 			},

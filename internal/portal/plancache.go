@@ -148,7 +148,7 @@ func (p *Portal) PlanCacheStats() PlanCacheStats {
 // membership changes re-plan) and the planning options written into
 // every plan. Differing salts can never share an entry.
 func (p *Portal) planSalt() string {
-	return fmt.Sprintf("v%d|c%d|p%d|m%t|o%t|a%t",
+	return fmt.Sprintf("v%d|c%d|p%d|m%t|o%t",
 		p.catalogVersion.Load(), p.cfg.ChunkRows, p.cfg.Parallelism, p.cfg.IncludeMatchColumns,
-		p.cfg.CountProbeOrder, p.cfg.AdaptiveReorder)
+		p.cfg.CountProbeOrder)
 }

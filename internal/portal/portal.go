@@ -62,10 +62,6 @@ type Config struct {
 	// of §5.3. The default (false) probes nodes' StatsSummary service and
 	// orders by the transfer-cost model when statistics are available.
 	CountProbeOrder bool
-	// AdaptiveReorder stamps plans with permission for chain nodes to
-	// re-order the not-yet-called downstream suffix when live estimates
-	// diverge from the plan's. Results are bit-identical either way.
-	AdaptiveReorder bool
 	// Codec selects the SOAP server's response codec policy; the default
 	// negotiates the binary columnar format with clients that accept it.
 	Codec soap.Codec

@@ -204,10 +204,3 @@ func (r *Registry) ShardMap(archive string) *ShardMap {
 	defer r.mu.RUnlock()
 	return r.shardMaps[archive].clone()
 }
-
-// DropShards forgets an archive's shard map (tests, re-partitioning).
-func (r *Registry) DropShards(archive string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.shardMaps, archive)
-}

@@ -53,7 +53,6 @@ import (
 	"skyquery/internal/eval"
 	"skyquery/internal/soap"
 	"skyquery/internal/storage"
-	"skyquery/internal/value"
 	"skyquery/internal/wsdl"
 )
 
@@ -133,10 +132,6 @@ type Node struct {
 	chunks soap.ChunkStore
 	gate   *Gate
 
-	// calib learns per-table corrections for the statistics estimates
-	// (see reorder.go).
-	calib calibration
-
 	// traces holds per-table batch-utilization history: each chain step's
 	// adaptive sizer learns its floor from the table's recorded trace and
 	// records its own observations back for the next query.
@@ -193,9 +188,6 @@ func New(cfg Config) (*Node, error) {
 	n.server.Handle(soap.FetchAction, n.chunks.FetchHandler())
 	return n, nil
 }
-
-// Name returns the archive name.
-func (n *Node) Name() string { return n.cfg.Name }
 
 // Server returns the SOAP server; it implements http.Handler.
 func (n *Node) Server() *soap.Server { return n.server }
@@ -291,13 +283,4 @@ func datasetSchema(d *dataset.DataSet) storage.Schema {
 		s[i] = storage.ColumnDef{Name: c.Name, Type: c.Type}
 	}
 	return s
-}
-
-// typeOfCell returns a column type for a schema derived from values,
-// defaulting NULL cells to FLOAT.
-func typeOfCell(v value.Value) value.Type {
-	if v.IsNull() {
-		return value.FloatType
-	}
-	return v.Type()
 }

@@ -69,10 +69,10 @@ type CrossMatchRequest struct {
 	Plan    plan.Plan `xml:"Plan"`
 	// Isolated tells the node to execute only its own chain step: the
 	// step's incoming tuples come from Incoming (absent for a seed step)
-	// instead of a chain call to the next step's node, and the node must
-	// not re-order the plan suffix. The portal's scatter tier sets it
-	// when any archive in the plan is sharded — the portal becomes the
-	// coordinator between steps, merging shard outputs deterministically.
+	// instead of a chain call to the next step's node. The portal's
+	// scatter tier sets it when any archive in the plan is sharded — the
+	// portal becomes the coordinator between steps, merging shard outputs
+	// deterministically.
 	Isolated bool `xml:"isolated,attr,omitempty"`
 	// Incoming locates the step's input tuples: a transfer stashed in
 	// the coordinator's ChunkStore, drained by token from Endpoint.
@@ -186,9 +186,6 @@ func (n *Node) handleCrossMatch(r *soap.Request) (interface{}, error) {
 	}
 	step := p.Steps[idx]
 	n.emit("xmatch.recv", "plan %s step %d/%d", p.QueryID, idx+1, len(p.Steps))
-	if !req.Isolated {
-		n.maybeReorderSuffix(p, idx)
-	}
 	chunkRows := p.ChunkRows
 	if chunkRows == 0 {
 		chunkRows = n.cfg.ChunkRows

@@ -396,6 +396,55 @@ func TestChainLocalPredicate(t *testing.T) {
 	}
 }
 
+// TestStatsEstimateHistoryIndependent pins that a node's StatsSummary
+// answer is a function of its data alone: running chains whose plans
+// carried a badly-off estimate for the same table must not move it.
+func TestStatsEstimateHistoryIndependent(t *testing.T) {
+	_, archives, _, endpoints := testFederation(t, 300, defaultConfigs()[:2])
+	ctx := context.Background()
+	c := &soap.Client{}
+	p := buildPlan(archives, endpoints, []int{1, 0}, nil, 3.5)
+	seed := &p.Steps[len(p.Steps)-1]
+	seed.LocalWhere = "O.type = 'GALAXY'"
+	statsReq := &StatsRequest{Table: seed.Table, Alias: seed.Alias, LocalWhere: seed.LocalWhere, Area: p.Area}
+	probe := func() StatsResponse {
+		var resp StatsResponse
+		if err := c.Call(ctx, seed.Endpoint, ActionStats, statsReq, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	before := probe()
+	if !before.HasStats {
+		t.Fatal("seed node serves no column statistics")
+	}
+
+	var first soap.ChunkedData
+	sql := fmt.Sprintf("SELECT COUNT(*) FROM %s O WHERE AREA(%g, %g, %g) AND %s",
+		seed.Table, p.Area.RA, p.Area.Dec, p.Area.RadiusArcsec, seed.LocalWhere)
+	if err := c.Call(ctx, seed.Endpoint, ActionQuery, &QueryRequest{SQL: sql}, &first); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := soap.FetchAll(ctx, c, seed.Endpoint, &first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	actual := ds.Rows[0][0].AsInt()
+	if actual == 0 {
+		t.Fatal("seed step selects nothing")
+	}
+	seed.StatsBased = true
+	seed.EstRows = 4 * float64(actual)
+	for i := 0; i < 3; i++ {
+		if rows := runChain(t, p); len(rows) == 0 {
+			t.Fatal("chain returned no matches")
+		}
+	}
+	if after := probe(); after != before {
+		t.Errorf("StatsSummary moved with query history:\nbefore %+v\nafter  %+v", before, after)
+	}
+}
+
 func TestChainCrossPredicate(t *testing.T) {
 	_, archives, _, endpoints := testFederation(t, 300, defaultConfigs()[:2])
 	const thr = 3.5

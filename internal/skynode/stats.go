@@ -85,9 +85,6 @@ func (n *Node) handleStats(r *soap.Request) (interface{}, error) {
 		})
 	}
 	est := float64(areaCand) * sel
-	// Learned correction from previous seed-step executions of this
-	// table (1 until anything has been observed).
-	est *= n.calib.ratio(req.Table)
 	n.emit("stats.summary", "table %s: area=%d sel=%.3f est=%.0f",
 		req.Table, areaCand, sel, est)
 	return &StatsResponse{

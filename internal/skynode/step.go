@@ -206,6 +206,14 @@ func (n *Node) localStep(p *plan.Plan, step plan.Step, incoming *dataset.DataSet
 	return &dataset.DataSet{Columns: r.outCols, Rows: outRows}, nil
 }
 
+// observeSeedEstimate emits the estimate-vs-actual trace event the
+// EXPLAIN tooling reads for a seed step the plan carried an estimate for.
+func (n *Node) observeSeedEstimate(step plan.Step, actual int) {
+	if step.EstRows > 0 {
+		n.emit("xmatch.estimate", "table %s: est=%.0f actual=%d", step.Table, step.EstRows, actual)
+	}
+}
+
 // newSeedRunner compiles the first (innermost) query of the chain: all
 // objects in the area passing the local predicate become 1-tuples. The
 // HTM region walk collects candidate rows in index order — with

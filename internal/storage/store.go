@@ -171,9 +171,6 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 // tables callers create in it).
 func (s *Store) DB() *DB { return s.db }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Recovery reports what opening the store recovered, one entry per table.
 func (s *Store) Recovery() []RecoveryInfo {
 	s.mu.Lock()

@@ -104,10 +104,6 @@ func WithReplicas(n int) Option { return func(o *Options) { o.Replicas = n } }
 // of §5.3.
 func WithCountProbeOrder() Option { return func(o *Options) { o.CountProbeOrder = true } }
 
-// WithAdaptiveReorder lets chain nodes re-order the downstream suffix
-// when live estimates diverge from the plan's.
-func WithAdaptiveReorder() Option { return func(o *Options) { o.AdaptiveReorder = true } }
-
 // WithPortalEvents installs a portal trace-event sink.
 func WithPortalEvents(fn func(kind, detail string)) Option {
 	return func(o *Options) { o.PortalEvents = fn }
