@@ -1,6 +1,6 @@
 package eval
 
-// The benchmark trajectory: a machine-readable snapshot of the three
+// The benchmark trajectory: a machine-readable snapshot of the two
 // expression engines on the canonical 10k-row selective scan, written to
 // BENCH_scan.json at the repository root and checked in per PR so the
 // perf history lives in version control (CI also uploads it as an
@@ -46,7 +46,7 @@ type benchScanFile struct {
 // the perf-regression gate re-measuring it).
 const benchScanRowCount = 10000
 
-// measureScanEngines runs the canonical selective scan through all three
+// measureScanEngines runs the canonical selective scan through both
 // engines under testing.Benchmark and returns their measurements. Shared
 // by the trajectory writer and TestPerfRegressionGate.
 func measureScanEngines(t *testing.T) map[string]benchScanEngine {
@@ -58,10 +58,6 @@ func measureScanEngines(t *testing.T) map[string]benchScanEngine {
 	const nRows = benchScanRowCount
 	rows := benchScanRows(nRows)
 
-	prog, err := Compile(e, stdLayout)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tprog, err := CompileTyped(e, stdLayout)
 	if err != nil {
 		t.Fatal(err)
@@ -73,13 +69,8 @@ func measureScanEngines(t *testing.T) map[string]benchScanEngine {
 	for i, row := range rows {
 		envs[i] = envFromLayout(stdLayout, row)
 	}
-	const batchCap = DefaultBatchSize
-	var typed []*TBatch
-	for off := 0; off < len(rows); off += batchCap {
-		end := min(off+batchCap, len(rows))
-		typed = append(typed, tbatchFromRows(7, batchCap, rows[off:end]))
-	}
-	tev := tprog.NewEval(batchCap)
+	typed := scanBatches(rows)
+	tev := tprog.NewEval(DefaultBatchSize)
 	defer tev.Release()
 
 	engines := map[string]func(b *testing.B){
@@ -88,16 +79,6 @@ func measureScanEngines(t *testing.T) map[string]benchScanEngine {
 			for i := 0; i < b.N; i++ {
 				for r := range rows {
 					if _, err := EvalBool(e, envs[r]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		},
-		"compiled": func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, row := range rows {
-					if _, err := prog.EvalBool(row); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -133,7 +114,7 @@ func TestWriteBenchScanJSON(t *testing.T) {
 		t.Skip("pass -bench-scan-json=PATH to write BENCH_scan.json")
 	}
 	out := benchScanFile{
-		Benchmark: "selective WHERE scan, three engines, one op = all rows",
+		Benchmark: "selective WHERE scan, two engines, one op = all rows",
 		Expr:      benchExpr,
 		Rows:      benchScanRowCount,
 		BatchSize: DefaultBatchSize,
@@ -163,7 +144,7 @@ func round2(f float64) float64 { return float64(int64(f*100+0.5)) / 100 }
 
 func summary(f benchScanFile) string {
 	s := ""
-	for _, name := range []string{"interpreted", "compiled", "typed-batch"} {
+	for _, name := range []string{"interpreted", "typed-batch"} {
 		e := f.Engines[name]
 		s += fmt.Sprintf("%s %.1f ns/row (%d allocs); ", name, e.NsPerRow, e.AllocsPerOp)
 	}

@@ -1,88 +1,35 @@
 package eval
 
 import (
-	"math"
-	"math/rand"
-	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
+	"reflect"
 	"testing"
 
 	"skyquery/internal/sqlparse"
 	"skyquery/internal/value"
 )
 
-// envFromLayout builds the interpreter environment matching a layout and a
-// row, so both paths resolve exactly the same names to the same values.
-func envFromLayout(layout MapLayout, row []value.Value) MapEnv {
-	env := MapEnv{}
-	for name, slot := range layout {
-		env[name] = row[slot]
-	}
-	return env
-}
-
-// compileAndCompare asserts the compiled program and the reference
-// interpreter agree (value and error presence) on every row. A compile
-// error is allowed only where the interpreter also errors on every row:
-// the compiler binds eagerly, but with every column bound by the layout
-// the remaining compile errors (unknown function, arity, *) are exactly
-// the row-independent interpreter errors.
+// compileAndCompare holds the compiled program to the reference
+// interpreter on every row, alone and in batches of every chunking. A
+// compile error is allowed only where the interpreter also errors on every
+// row: the compiler binds eagerly, but with every column bound by the
+// layout the remaining compile errors (unknown function, arity, *) are
+// exactly the row-independent interpreter errors.
 func compileAndCompare(t *testing.T, src string, layout MapLayout, rows [][]value.Value) {
 	t.Helper()
 	e, err := sqlparse.ParseExpr(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	prog, cerr := Compile(e, layout)
-	for ri, row := range rows {
-		iv, ierr := Eval(e, envFromLayout(layout, row))
-		if cerr != nil {
-			if ierr == nil {
+	if _, cerr := CompileTyped(e, layout); cerr != nil {
+		for ri, row := range rows {
+			if iv, ierr := Eval(e, envFromLayout(layout, row)); ierr == nil {
 				t.Errorf("%q: compile failed (%v) but interpreter evaluated row %d to %v", src, cerr, ri, iv)
 			}
-			continue
 		}
-		cv, ceErr := prog.Eval(row)
-		if (ierr != nil) != (ceErr != nil) {
-			t.Errorf("%q row %d: interpreter err=%v, compiled err=%v", src, ri, ierr, ceErr)
-			continue
-		}
-		if ierr != nil {
-			if ierr.Error() != ceErr.Error() {
-				// Error timing may legitimately reorder which side of an
-				// expression reports first; presence is the contract.
-				t.Logf("%q row %d: error text differs: %q vs %q", src, ri, ierr, ceErr)
-			}
-			continue
-		}
-		if !value.Equal(iv, cv) || iv.Type() != cv.Type() {
-			t.Errorf("%q row %d: interpreter=%v (%v), compiled=%v (%v)", src, ri, iv, iv.Type(), cv, cv.Type())
-		}
+		return
 	}
-}
-
-// stdLayout is the differential tests' column universe: qualified and bare
-// names over the first slots of a row.
-var stdLayout = MapLayout{
-	"O.type":   0,
-	"O.i_flux": 1,
-	"T.i_flux": 2,
-	"O.dec":    3,
-	"name":     4,
-	"n":        5,
-	"x":        6,
-}
-
-func stdRows() [][]value.Value {
-	rows := [][]value.Value{
-		{value.String("GALAXY"), value.Float(12.5), value.Float(9), value.Float(-12.25), value.String("NGC 1275"), value.Int(7), value.Int(-3)},
-		{value.String("STAR"), value.Float(1.5), value.Float(1.25), value.Float(89.9), value.String("M31"), value.Int(0), value.Int(math.MinInt64)},
-		{value.Null, value.Null, value.Float(2), value.Null, value.Null, value.Int(-1), value.Float(math.NaN())},
-		{value.String(""), value.Int(3), value.Int(3), value.Float(0), value.String("NGC%"), value.Null, value.Bool(true)},
-	}
-	return rows
+	typedRowwise(t, src, layout, rows)
+	typedCompare(t, src, layout, rows)
 }
 
 func TestCompiledMatchesInterpreted(t *testing.T) {
@@ -112,7 +59,7 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 		"n IN (1, 7, NULL)",
 		"n IN (x, 0)",
 		"O.type IS NULL", "O.type IS NOT NULL",
-		"T.type = 'GALAXY'", // falls back to the bare column? no bare "type": errors on every row
+		"T.type = 'GALAXY'", // no bare "type" column: a compile error, and the interpreter errors on every row
 		"COALESCE(O.type, name, 'none')",
 		"COALESCE(NULL, NULL)",
 		"UPPER(name)", "LOWER(O.type)", "LEN(name)", "LENGTH(n)",
@@ -125,313 +72,103 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 		"x = 1 OR x = 2 OR n IS NULL",
 		"(O.i_flux + T.i_flux) / 2 >= T.i_flux",
 	}
-	rows := stdRows()
-	for _, src := range exprs {
-		compileAndCompare(t, src, stdLayout, rows)
+	for _, rows := range [][][]value.Value{stdRows(), decidedRows()} {
+		for _, src := range exprs {
+			compileAndCompare(t, src, stdLayout, rows)
+		}
 	}
 }
 
+// TestCompileReportsBindingErrors checks eager binding: the interpreter
+// short-circuits around an unknown column on the dead side of AND/OR, the
+// compiler rejects the predicate up front.
 func TestCompileReportsBindingErrors(t *testing.T) {
 	cases := []string{
-		"nosuch = 1",
-		"Q.nosuch = 1",
-		"NOSUCHFN(1)",
-		"ABS(1, 2)",
-		"POWER(1)",
-		// Eager binding: the interpreter would short-circuit around the
-		// unknown column, the compiler rejects the predicate up front.
 		"FALSE AND nosuch = 1",
+		"TRUE OR nosuch = 1",
 	}
 	for _, src := range cases {
 		e, err := sqlparse.ParseExpr(src)
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		if _, err := Compile(e, stdLayout); err == nil {
-			t.Errorf("Compile(%q) succeeded, want error", src)
+		if _, err := Eval(e, MapEnv{}); err != nil {
+			t.Errorf("interpreter on %q: %v; want a short-circuited result", src, err)
+		}
+		if _, err := CompileTyped(e, stdLayout); err == nil {
+			t.Errorf("CompileTyped(%q) succeeded, want error", src)
 		}
 	}
 }
 
 func TestCompiledConstantFolding(t *testing.T) {
-	prog := mustCompile(t, "1 + 2 * 3 = 7 AND 2 < 3", stdLayout)
-	if len(prog.Refs()) != 0 {
-		t.Errorf("constant program references slots %v", prog.Refs())
-	}
-	v, err := prog.Eval(nil)
-	if err != nil || !v.IsTrue() {
-		t.Errorf("constant eval = %v, %v", v, err)
-	}
-
 	// Short-circuit folds are exact even when the other side cannot
-	// evaluate: FALSE AND x, TRUE OR x.
-	prog = mustCompile(t, "FALSE AND x = 1", stdLayout)
-	if len(prog.Refs()) != 0 {
-		t.Errorf("FALSE AND ... still references %v", prog.Refs())
+	// evaluate, and the dead side's slots are neither reported nor read.
+	p := mustCompile(t, "FALSE AND x = 1", stdLayout)
+	if len(p.Refs()) != 0 {
+		t.Errorf("FALSE AND x = 1 still references %v", p.Refs())
 	}
 
 	// Constant subtrees that error keep erroring at Eval time, not at
-	// Compile time, so data-dependent behavior (e.g. zero-row scans) is
-	// unchanged.
-	prog = mustCompile(t, "x > 0 AND 1 / 0 = 1", stdLayout)
-	if _, err := prog.Eval([]value.Value{0: value.Null, 6: value.Int(1)}); err == nil {
-		t.Error("1/0 should error at Eval time")
+	// Compile time, and only when a row reaches them, so data-dependent
+	// behavior (e.g. zero-row scans) is unchanged.
+	p = mustCompile(t, "x > 0 AND 1 / 0 = 1", stdLayout)
+	ev := p.NewEval(2)
+	b := tbatchFromRows(7, 2, [][]value.Value{
+		{value.Null, value.Null, value.Null, value.Null, value.Null, value.Null, value.Int(-1)},
+		{value.Null, value.Null, value.Null, value.Null, value.Null, value.Null, value.Int(1)},
+	})
+	if _, errRow, ferr := p.Filter(ev, b, ev.Seq(1)); ferr != nil || errRow != -1 {
+		t.Errorf("1/0 behind a FALSE guard: errRow=%d err=%v; want no error", errRow, ferr)
 	}
+	if _, errRow, ferr := p.Filter(ev, b, ev.Seq(2)); ferr == nil || errRow != 1 {
+		t.Errorf("1/0 behind a TRUE guard: errRow=%d err=%v; want the error at row 1", errRow, ferr)
+	}
+	b.Release()
+	ev.Release()
 }
 
-func mustCompile(t *testing.T, src string, layout Layout) *Program {
+func mustCompile(t *testing.T, src string, layout Layout) *TypedProgram {
 	t.Helper()
 	e, err := sqlparse.ParseExpr(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	prog, err := Compile(e, layout)
+	p, err := CompileTyped(e, layout)
 	if err != nil {
 		t.Fatalf("compile %q: %v", src, err)
 	}
-	return prog
+	return p
 }
 
+// TestNilProgram checks that an absent predicate compiles to the nil
+// program, which keeps exactly the rows it is given — sparse, empty, or
+// over a batch of any width, since it binds no column.
 func TestNilProgram(t *testing.T) {
-	prog, err := Compile(nil, stdLayout)
-	if err != nil {
-		t.Fatalf("Compile(nil) = %v", err)
+	p, err := CompileTyped(nil, stdLayout)
+	if err != nil || p != nil {
+		t.Fatalf("CompileTyped(nil) = %v, %v; want nil program", p, err)
 	}
-	if prog != nil {
-		t.Fatalf("Compile(nil) returned a program")
+	ev := p.NewEval(8)
+	b := NewTBatch(0, 8)
+	b.SetLen(6)
+	for _, sel := range [][]int{{1, 3, 4}, {}} {
+		got, errRow, ferr := p.Filter(ev, b, sel)
+		if ferr != nil || errRow != -1 || !reflect.DeepEqual(got, sel) {
+			t.Errorf("nil program Filter(%v) = %v, %d, %v; want the selection unchanged", sel, got, errRow, ferr)
+		}
 	}
-	ok, err := prog.EvalBool(nil)
-	if err != nil || !ok {
-		t.Errorf("nil program EvalBool = %v, %v; want true", ok, err)
-	}
-	if _, err := prog.Eval(nil); err == nil {
-		t.Error("nil program Eval should error")
-	}
+	ev.Release()
 }
 
 func TestProgramRowWidthCheck(t *testing.T) {
-	prog := mustCompile(t, "x = 1", stdLayout)
-	if _, err := prog.Eval([]value.Value{value.Int(1)}); err == nil {
-		t.Error("short row should error, not panic")
+	p := mustCompile(t, "x = 1", stdLayout)
+	ev := p.NewEval(4)
+	// A batch one slot too narrow for the program errors, never panics.
+	short := NewTBatch(6, 4)
+	short.SetLen(2)
+	if _, errRow, verr := p.EvalVec(ev, short, ev.Seq(2)); verr == nil || errRow != -1 {
+		t.Errorf("batch one slot short: errRow=%d err=%v; want structural error", errRow, verr)
 	}
-}
-
-func TestAbsMinInt64(t *testing.T) {
-	// -math.MinInt64 overflows int64; ABS must fall back to the float
-	// magnitude instead of returning a negative "absolute value".
-	want := value.Float(9.223372036854775808e18)
-	env := MapEnv{"x": value.Int(math.MinInt64)}
-	got := evalStr(t, "ABS(x)", env)
-	if got.Type() != value.FloatType || !value.Equal(got, want) {
-		t.Errorf("interpreted ABS(MinInt64) = %v (%v), want %v", got, got.Type(), want)
-	}
-	prog := mustCompile(t, "ABS(x)", MapLayout{"x": 0})
-	cv, err := prog.Eval([]value.Value{value.Int(math.MinInt64)})
-	if err != nil || cv.Type() != value.FloatType || !value.Equal(cv, want) {
-		t.Errorf("compiled ABS(MinInt64) = %v (%v), %v; want %v", cv, cv.Type(), err, want)
-	}
-	// Ordinary negatives still stay integral.
-	if got := evalStr(t, "ABS(-3)", MapEnv{}); !value.Equal(got, value.Int(3)) || got.Type() != value.IntType {
-		t.Errorf("ABS(-3) = %v (%v)", got, got.Type())
-	}
-}
-
-func TestLikeCacheBounded(t *testing.T) {
-	for i := 0; i < 4*likeCacheGen; i++ {
-		pat := "unique-" + strconv.Itoa(i) + "-%"
-		if _, err := likeCache.get(pat); err != nil {
-			t.Fatalf("get(%q): %v", pat, err)
-		}
-	}
-	if n := likeCache.size(); n > 2*likeCacheGen {
-		t.Errorf("likeCache holds %d patterns, bound is %d", n, 2*likeCacheGen)
-	}
-	// A hot pattern survives generation rotation by promotion.
-	if _, err := likeCache.get("hot-%"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2*likeCacheGen; i++ {
-		if i%8 == 0 {
-			if _, err := likeCache.get("hot-%"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := likeCache.get("churn-" + strconv.Itoa(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	likeCache.mu.Lock()
-	_, inCur := likeCache.cur["hot-%"]
-	_, inPrev := likeCache.prev["hot-%"]
-	likeCache.mu.Unlock()
-	if !inCur && !inPrev {
-		t.Error("hot pattern was evicted despite frequent use")
-	}
-}
-
-// fuzzRow derives a deterministic row of mixed-type values for the given
-// slot count from a seed.
-func fuzzRow(n int, seed int64) []value.Value {
-	rng := rand.New(rand.NewSource(seed))
-	row := make([]value.Value, n)
-	strs := []string{"", "GALAXY", "NGC 1275", "a%b_c", "O'Neill", "%", "_"}
-	for i := range row {
-		switch rng.Intn(7) {
-		case 0:
-			row[i] = value.Null
-		case 1:
-			row[i] = value.Int(rng.Int63n(2001) - 1000)
-		case 2:
-			row[i] = value.Int([]int64{0, 1, -1, math.MaxInt64, math.MinInt64}[rng.Intn(5)])
-		case 3:
-			row[i] = value.Float(rng.NormFloat64() * 100)
-		case 4:
-			row[i] = value.Float([]float64{0, -0.5, math.Inf(1), math.NaN(), 1e308}[rng.Intn(5)])
-		case 5:
-			row[i] = value.String(strs[rng.Intn(len(strs))])
-		default:
-			row[i] = value.Bool(rng.Intn(2) == 0)
-		}
-	}
-	return row
-}
-
-// FuzzCompileDifferential cross-validates the compiled engine against the
-// reference interpreter on arbitrary parseable expressions and random
-// rows: identical values and identical error presence, row by row. Seeds
-// reuse the FuzzParseExpr corpus (the chain re-parses exactly these
-// predicate strings off the wire).
-func FuzzCompileDifferential(f *testing.F) {
-	seeds := []string{
-		`(O.i_flux - T.i_flux) > 2`,
-		`1 + 2 * 3 = 7 AND 2 < 3 OR FALSE`,
-		`a.name = 'O''Neill'`,
-		`ABS(O.a + T.b) > 1 AND O.c IS NULL AND T.d IN (1, O.e) AND O.f BETWEEN 1 AND 2`,
-		`x LIKE '%''%'`,
-		`COALESCE(a, b, 1) % 2 = 0`,
-		`NOT NOT NOT x`,
-	}
-	for _, s := range seeds {
-		f.Add(s, int64(1))
-	}
-	for _, s := range parseExprCorpus(f) {
-		f.Add(s, int64(2))
-	}
-	f.Fuzz(func(t *testing.T, src string, seed int64) {
-		e, err := sqlparse.ParseExpr(src)
-		if err != nil {
-			return
-		}
-		cols := sqlparse.Columns(e)
-		if len(cols) > 64 {
-			return
-		}
-		layout := MapLayout{}
-		for i, c := range cols {
-			key := c.Column
-			if c.Table != "" {
-				key = c.Table + "." + c.Column
-			}
-			layout[key] = i
-		}
-		prog, cerr := Compile(e, layout)
-		if cerr != nil {
-			// Eager binding: with every column bound, a compile error is a
-			// row-independent error (unknown function, arity, *) that the
-			// interpreter may only dodge via short-circuiting. Nothing to
-			// cross-check.
-			return
-		}
-		for r := 0; r < 4; r++ {
-			row := fuzzRow(len(cols), seed+int64(r))
-			iv, ierr := Eval(e, envFromLayout(layout, row))
-			cv, ceErr := prog.Eval(row)
-			if (ierr != nil) != (ceErr != nil) {
-				t.Fatalf("%q: interpreter err=%v, compiled err=%v (row %v)", src, ierr, ceErr, row)
-			}
-			if ierr == nil && (!value.Equal(iv, cv) || iv.Type() != cv.Type()) {
-				t.Fatalf("%q: interpreter=%v (%v), compiled=%v (%v) (row %v)", src, iv, iv.Type(), cv, cv.Type(), row)
-			}
-		}
-	})
-}
-
-// parseExprCorpus loads the checked-in FuzzParseExpr corpus inputs so the
-// differential fuzzer starts from every expression shape the parser
-// fuzzing has already found interesting.
-func parseExprCorpus(f *testing.F) []string {
-	dir := filepath.Join("..", "sqlparse", "testdata", "fuzz", "FuzzParseExpr")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var out []string
-	for _, ent := range entries {
-		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
-		if err != nil {
-			continue
-		}
-		for _, line := range strings.Split(string(data), "\n") {
-			line = strings.TrimSpace(line)
-			if !strings.HasPrefix(line, "string(") || !strings.HasSuffix(line, ")") {
-				continue
-			}
-			if s, err := strconv.Unquote(line[len("string(") : len(line)-1]); err == nil {
-				out = append(out, s)
-			}
-		}
-	}
-	return out
-}
-
-// benchExpr is a representative chain-step predicate: residual type and
-// flux cuts plus a LIKE, the shapes §5.3 evaluates per candidate.
-const benchExpr = `O.type = 'GALAXY' AND (O.i_flux - T.i_flux) > 2 AND ABS(O.dec) < 30.0 AND name LIKE 'NGC%'`
-
-func benchRow() []value.Value {
-	return []value.Value{
-		value.String("GALAXY"), value.Float(12.5), value.Float(9),
-		value.Float(-12.25), value.String("NGC 1275"), value.Int(7), value.Int(-3),
-	}
-}
-
-// BenchmarkInterpretedExpr is the historical per-candidate path: AST walk
-// with Env lookups (environment pre-built; the real sites also paid a
-// fresh MapEnv per tuple on top of this).
-func BenchmarkInterpretedExpr(b *testing.B) {
-	e, err := sqlparse.ParseExpr(benchExpr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	env := envFromLayout(stdLayout, benchRow())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ok, err := EvalBool(e, env)
-		if err != nil || !ok {
-			b.Fatal(ok, err)
-		}
-	}
-}
-
-// BenchmarkCompiledExpr is the compiled path: slot reads through a
-// closure tree, no maps, no per-row allocation.
-func BenchmarkCompiledExpr(b *testing.B) {
-	e, err := sqlparse.ParseExpr(benchExpr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := Compile(e, stdLayout)
-	if err != nil {
-		b.Fatal(err)
-	}
-	row := benchRow()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ok, err := prog.EvalBool(row)
-		if err != nil || !ok {
-			b.Fatal(ok, err)
-		}
-	}
+	ev.Release()
 }

@@ -3,16 +3,14 @@
 // the storage engine (row predicates, projections) and the cross-match
 // chain executor (cross-archive predicates over partial tuples).
 //
-// Three engines, layered slowest-reference to fastest-production, share
-// one semantics:
+// Two engines share one semantics:
 //
 //   - Eval interprets the AST per row through Env lookups. It is the
 //     reference implementation and the slowest path.
-//   - Compile resolves column references to row slots against a Layout at
-//     plan time and returns a closure-tree Program evaluated per row. See
-//     compile.go.
-//   - CompileTyped returns a TypedProgram evaluated over typed column
-//     vectors (Vector: native []int64 / []float64 / []string / []bool
+//   - CompileTyped resolves column references to batch slots against a
+//     Layout at plan time, checks function names and arities, folds
+//     constant subtrees, and returns a TypedProgram evaluated over typed
+//     column vectors (Vector: native []int64 / []float64 / []string / []bool
 //     payloads with a null mask, vector.go) with a selection vector, in
 //     batches of BatchSize rows (default 1024). Kernels dispatch per batch
 //     on operand kinds and loop over raw slices; boxed fallbacks cover
@@ -22,17 +20,15 @@
 //     gathers), portal projection, the pull baseline — run this engine.
 //     typed.go holds the batch execution model and the exact
 //     error-semantics contract (errRow: evaluation stops at the first
-//     selected row whose scalar evaluation would error).
+//     selected row whose row-at-a-time evaluation would error).
 //
-// The earlier engines stay as references for the typed one, not as dead
-// code: the interpreter is the oracle; the compiled scalar engine folds
-// constants for the typed compiler, evaluates the long tail of batch
-// evaluation (IN, BETWEEN, COALESCE) per row, and defines the first
-// erroring row the typed engine must reproduce. Every scalar function
-// dispatches to the same kernels from all three engines, and the
-// differential tests plus the FuzzCompileDifferential /
-// FuzzBatchDifferential (three-way) fuzz targets enforce value- and
-// error-agreement row by row.
+// The interpreter is not dead code: it is the oracle. It folds constant
+// subtrees for the typed compiler and defines the value of every row and
+// the first erroring row the typed engine must reproduce. Every scalar
+// function dispatches to the same kernels from both engines, and the
+// differential tests plus the FuzzBatchDifferential (batches, first
+// erroring row) and FuzzCompileDifferential (each row alone) fuzz targets
+// enforce value- and error-agreement row by row.
 //
 // AnalyzePrune (prune.go) is the plan-time companion of the typed scan:
 // it extracts the WHERE conjuncts whose per-block min/max statistics can
@@ -399,8 +395,8 @@ func compileLike(pat string) (*regexp.Regexp, error) {
 // The scalar function set mirrors what astronomy predicates in the paper's
 // examples need, plus common numeric helpers. Semantics live in per-function
 // kernels over already-evaluated arguments so that the tree-walking
-// interpreter (evalFunc) and the compiler (compileFunc) dispatch to the
-// exact same code and cannot drift.
+// interpreter (evalFunc) and the typed compiler (compileFunc) dispatch to
+// the exact same code and cannot drift.
 
 // kernel1 and kernel2 are unary and binary scalar function kernels.
 type kernel1 func(a value.Value) (value.Value, error)

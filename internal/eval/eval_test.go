@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -247,5 +248,68 @@ func TestLikeCacheConcurrency(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		<-done
+	}
+}
+
+func TestLikeCacheBounded(t *testing.T) {
+	for i := 0; i < 4*likeCacheGen; i++ {
+		pat := "unique-" + strconv.Itoa(i) + "-%"
+		if _, err := likeCache.get(pat); err != nil {
+			t.Fatalf("get(%q): %v", pat, err)
+		}
+	}
+	if n := likeCache.size(); n > 2*likeCacheGen {
+		t.Errorf("likeCache holds %d patterns, bound is %d", n, 2*likeCacheGen)
+	}
+	// A hot pattern survives generation rotation by promotion.
+	if _, err := likeCache.get("hot-%"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*likeCacheGen; i++ {
+		if i%8 == 0 {
+			if _, err := likeCache.get("hot-%"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := likeCache.get("churn-" + strconv.Itoa(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	likeCache.mu.Lock()
+	_, inCur := likeCache.cur["hot-%"]
+	_, inPrev := likeCache.prev["hot-%"]
+	likeCache.mu.Unlock()
+	if !inCur && !inPrev {
+		t.Error("hot pattern was evicted despite frequent use")
+	}
+}
+
+// benchExpr is a representative chain-step predicate: residual type and
+// flux cuts plus a LIKE, the shapes §5.3 evaluates per candidate.
+const benchExpr = `O.type = 'GALAXY' AND (O.i_flux - T.i_flux) > 2 AND ABS(O.dec) < 30.0 AND name LIKE 'NGC%'`
+
+func benchRow() []value.Value {
+	return []value.Value{
+		value.String("GALAXY"), value.Float(12.5), value.Float(9),
+		value.Float(-12.25), value.String("NGC 1275"), value.Int(7), value.Int(-3),
+	}
+}
+
+// BenchmarkInterpretedExpr is the historical per-candidate path: AST walk
+// with Env lookups (environment pre-built; the real sites also paid a
+// fresh MapEnv per tuple on top of this).
+func BenchmarkInterpretedExpr(b *testing.B) {
+	e, err := sqlparse.ParseExpr(benchExpr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	env := envFromLayout(stdLayout, benchRow())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ok, err := EvalBool(e, env)
+		if err != nil || !ok {
+			b.Fatal(ok, err)
+		}
 	}
 }

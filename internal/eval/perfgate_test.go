@@ -1,6 +1,6 @@
 package eval
 
-// The CI perf-regression gate: re-measure the three expression engines on
+// The CI perf-regression gate: re-measure the two expression engines on
 // the canonical 10k-row selective scan and fail when any engine's ns/row
 // regresses more than the threshold against the checked-in trajectory
 // (BENCH_scan.json at the repository root). CI runs it in the bench job:

@@ -30,7 +30,7 @@ package eval
 // NOT, AND/OR of error-free parts, comparisons whose two sides are
 // statically same-class (numeric/string/bool, NULL aside), and LIKE over
 // statically-string sides cannot error at evaluation time. Arithmetic
-// (division by zero), functions and the scalar-tail forms are treated as
+// (division by zero), functions, IN and BETWEEN are treated as
 // potentially erroring.
 //
 // NaN disables pruning of a float block: value.Compare treats NaN as equal

@@ -2,27 +2,28 @@ package eval
 
 // This file is the production engine of the expression stack and the home
 // of its batch execution model. Eval (eval.go) interprets the AST row by
-// row; Compile (compile.go) turns it into a closure tree evaluated against
-// one scratch row; CompileTyped compiles it into a program evaluated over
-// typed column vectors (vector.go) — []int64 / []float64 / []string /
-// []bool payloads with a null mask, or a boxed []value.Value fallback for
-// columns whose cells mix types. Scan sites gather candidate rows into
-// fixed-size batches (BatchSize, default 1024), run the WHERE program once
-// per batch, and only then materialize the surviving rows, so the per-row
-// cost collapses to tight slice loops instead of a closure call per
-// expression node per row.
+// row; CompileTyped resolves every column reference to an integer slot
+// against a Layout once, at plan time, and compiles the expression into a
+// program evaluated over typed column vectors (vector.go) — []int64 /
+// []float64 / []string / []bool payloads with a null mask, or a boxed
+// []value.Value fallback for columns whose cells mix types. Scan sites
+// gather candidate rows into fixed-size batches (BatchSize, default 1024),
+// run the WHERE program once per batch, and only then materialize the
+// surviving rows, so the per-row cost collapses to tight slice loops
+// instead of an interpreter dispatch per expression node per row.
 //
 // The execution model:
 //
-//   - A TBatch holds up to Cap() rows in column-major order. Callers fill
+//   - A TBatch holds up to its capacity in rows, column-major. Callers fill
 //     only the columns in TypedProgram.Refs() and SetLen to the row count.
 //   - A selection vector is a strictly increasing []int of batch positions.
 //     Filter reduces it to the rows where the predicate is TRUE. AND/OR
 //     spines are flattened into n-ary nodes that carry one truth-state
 //     accumulator and a shrinking "live" selection: each conjunct is
 //     evaluated only at the rows still undecided after the previous ones —
-//     exactly the rows the scalar engine's short-circuit would have reached
-//     it on — and decided rows are never rewritten.
+//     exactly the rows the interpreter's short-circuit would have reached
+//     it on — and decided rows are never rewritten. IN lists evaluate each
+//     item the same way, only at rows no earlier item has decided.
 //   - Kernels dispatch per *batch* on the operand vectors' kinds, so the
 //     per-row loops run over raw native slices: comparisons inline the
 //     int64/float64/string/bool paths (mirroring value.Compare bug-for-bug,
@@ -30,15 +31,24 @@ package eval
 //     equal), arithmetic inlines the int64 and float64 paths of value.Arith
 //     (wraparound integer + - * %, always-float division, identical
 //     division-by-zero errors), AND/OR fold member truth states with exact
-//     Kleene semantics over arbitrary operand kinds, and constant-pattern
-//     LIKE runs its matcher straight over the string payload. Anything
-//     else — a boxed operand column, a mixed-kind pair, scalar functions
-//     outside the float fast path, IN/BETWEEN/COALESCE — falls back per
-//     element to the very kernels the row engines share, so the typed
-//     engine cannot drift from them on the long tail.
+//     Kleene semantics over arbitrary operand kinds, BETWEEN and IN reuse
+//     the comparison kernels, and constant-pattern LIKE runs its matcher
+//     straight over the string payload. Anything else — a boxed operand
+//     column, a mixed-kind pair, scalar functions outside the float fast
+//     path — falls back per element to the very kernels the interpreter
+//     uses, so the typed engine cannot drift from it on the long tail.
 //
-// Error semantics mirror the row-at-a-time engines per row: evaluation
-// stops at the first selected row whose scalar evaluation would error, and
+// Error timing. The interpreter is the reference semantics, with one
+// deliberate divergence: a predicate that can never evaluate (unknown
+// column, unknown function, wrong arity) fails at CompileTyped time —
+// before a scan or chain step starts — where the interpreter would fail
+// on the first row it touches. Constant subtrees fold once, through the
+// interpreter; one whose evaluation errors (e.g. 1/0) keeps failing at
+// evaluation time, on the first selected row, so that data-dependent
+// behavior, such as a scan over zero matching rows, is unchanged.
+//
+// Per row, evaluation errors mirror the interpreter: evaluation stops at
+// the first selected row whose row-at-a-time evaluation would error, and
 // that row index is reported alongside the error (errRow). Rows before
 // errRow are fully evaluated, which lets scan sites with TOP decide whether
 // the row-at-a-time scan would have stopped before ever reaching the
@@ -46,10 +56,10 @@ package eval
 // several rows of a batch would error on different subexpressions, the
 // reported error is the one from the lowest row, like the sequential scan;
 // pipelines of several programs (local predicate, then cross predicates)
-// may surface a different member's error than the interleaved scalar loop
-// did, but never differ on error presence. The differential tests in
-// typed_test.go and FuzzBatchDifferential hold the typed engine, the
-// compiled scalar engine and the interpreter to agreement on values and on
+// may surface a different member's error than an interleaved row loop
+// would, but never differ on error presence. The differential tests in
+// typed_test.go and the FuzzBatchDifferential and FuzzCompileDifferential
+// targets hold the typed engine to the interpreter on values and on
 // errRow.
 //
 // Programs are immutable after CompileTyped and safe for concurrent use.
@@ -67,6 +77,44 @@ import (
 	"skyquery/internal/sqlparse"
 	"skyquery/internal/value"
 )
+
+// Layout resolves column references to slots of the batch a program is
+// evaluated over. Implementations decide qualifier semantics (alias
+// matching, bare-name fallback) and own the error messages for unknown
+// references.
+type Layout interface {
+	// Slot returns the row index holding table.column (table may be
+	// empty), or an error if the reference does not resolve.
+	Slot(table, column string) (int, error)
+}
+
+// LayoutFunc adapts a function to the Layout interface.
+type LayoutFunc func(table, column string) (int, error)
+
+// Slot implements Layout.
+func (f LayoutFunc) Slot(table, column string) (int, error) { return f(table, column) }
+
+// MapLayout is a Layout backed by a map from "table.column" (or "column"
+// for unqualified names) to slots, with MapEnv's resolution semantics: a
+// qualified reference falls back to the bare column name.
+type MapLayout map[string]int
+
+// Slot implements Layout.
+func (m MapLayout) Slot(table, column string) (int, error) {
+	key := column
+	if table != "" {
+		key = table + "." + column
+	}
+	if s, ok := m[key]; ok {
+		return s, nil
+	}
+	if table != "" {
+		if s, ok := m[column]; ok {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("eval: unknown column %q", key)
+}
 
 // DefaultBatchSize is the number of rows scan sites gather per batch when
 // nothing overrides it. 1024 keeps a batch's working set (a handful of
@@ -124,7 +172,7 @@ func selBefore(sel []int, errRow int) []int {
 
 // constVal is the folded outcome of a row-independent subtree: a value, or
 // an error that must keep surfacing at evaluation time (first selected
-// row), never at compile time — mirroring the scalar compiler's fold.
+// row), never at compile time.
 type constVal struct {
 	v   value.Value
 	err error
@@ -270,8 +318,8 @@ func (n *texpr) eval(ev *TypedEval, b *TBatch, sel []int) (*Vector, int, error) 
 	}
 }
 
-// evalNary evaluates a flattened AND (isAnd) or OR spine with the scalar
-// engine's short-circuit: the accumulator starts as the first member's
+// evalNary evaluates a flattened AND (isAnd) or OR spine with the
+// interpreter's short-circuit: the accumulator starts as the first member's
 // truth state, later members run only at still-undecided rows —
 // AND: not strictly FALSE; OR: not TRUE — and a member's failure truncates
 // the live set to the rows before it while evaluation continues, so the
@@ -333,9 +381,9 @@ func (n *texpr) evalNary(ev *TypedEval, b *TBatch, sel []int, members []texpr, i
 	return out, errRow, err
 }
 
-// TypedProgram is a compiled typed batch expression. Like Program it is
-// immutable and safe for concurrent use; all mutable evaluation state
-// lives in a TypedEval.
+// TypedProgram is a compiled typed batch expression. It is immutable and
+// safe for concurrent use; all mutable evaluation state lives in a
+// TypedEval.
 type TypedProgram struct {
 	root   texpr
 	refs   []int
@@ -347,14 +395,13 @@ type TypedProgram struct {
 }
 
 // TypedEval is the per-goroutine scratch for one TypedProgram: result
-// vectors (one per node), truth-state and live-selection buffers for the
-// AND/OR spines, and the gathered scratch row the scalar-tail nodes
-// evaluate over. All of it comes from the slab pools; Release returns it.
+// vectors (one per node) and the truth-state and live-selection buffers of
+// the AND/OR spines and IN lists. All of it comes from the slab pools;
+// Release returns it.
 type TypedEval struct {
 	vecs    []Vector
 	states  [][]uint8
 	sels    [][]int
-	row     []value.Value
 	seq     []int
 	out     []int
 	noNulls []bool
@@ -392,7 +439,6 @@ func (p *TypedProgram) NewEval(capacity int) *TypedEval {
 	for i := range ev.sels {
 		ev.sels[i] = getSel(capacity)[:0]
 	}
-	ev.row = getBoxed(p.width)
 	for _, c := range p.consts {
 		ev.vecs[c.vec].Broadcast(c.v, capacity)
 	}
@@ -423,9 +469,6 @@ func (ev *TypedEval) Release() {
 	if ev.noNulls != nil {
 		putBools(ev.noNulls)
 	}
-	if ev.row != nil {
-		putBoxed(ev.row)
-	}
 	*ev = TypedEval{}
 }
 
@@ -441,8 +484,8 @@ func (ev *TypedEval) nullsOf(v *Vector) []bool {
 // CompileTyped compiles the expression into a typed batch program against
 // the layout. A nil expression compiles to a nil program, whose Filter
 // passes every row (the semantics of an absent WHERE clause). Binding
-// errors (unknown columns, functions, arities) surface here, exactly as
-// with Compile.
+// errors (unknown columns, functions, arities) surface here, before any
+// row is evaluated.
 func CompileTyped(e sqlparse.Expr, layout Layout) (*TypedProgram, error) {
 	if e == nil {
 		return nil, nil
@@ -581,54 +624,29 @@ func (c *typedCompiler) constNode(cv constVal) (*texpr, *constVal, error) {
 	}}, &cv, nil
 }
 
-// foldConst evaluates a row-independent subtree once through the scalar
-// compiler (the reference fold semantics) and freezes the outcome.
+// foldConst evaluates a row-independent subtree once through the
+// interpreter (the reference semantics) and freezes the outcome. Callers
+// fold only subtrees whose children compiled to constants, so the
+// interpreter never reaches a column reference here.
 func (c *typedCompiler) foldConst(e sqlparse.Expr) (*texpr, *constVal, error) {
-	sub := &compiler{layout: c.layout, refs: map[int]bool{}}
-	n, _, err := sub.compile(e)
-	if err != nil {
-		return nil, nil, err
-	}
-	v, verr := n(nil)
-	return c.constNode(constVal{v: v, err: verr})
+	v, err := Eval(e, MapEnv{})
+	return c.constNode(constVal{v: v, err: err})
 }
 
-// scalarTail compiles the subtree with the scalar compiler and evaluates
-// it per selected row over a gathered (boxed) scratch row: the long-tail
-// path (IN, BETWEEN, COALESCE, dynamic-arity functions) reuses the scalar
-// kernels verbatim.
-func (c *typedCompiler) scalarTail(e sqlparse.Expr) (*texpr, *constVal, error) {
-	sub := &compiler{layout: c.layout, refs: map[int]bool{}}
-	n, isConst, err := sub.compile(e)
-	if err != nil {
-		return nil, nil, err
-	}
-	if isConst {
-		v, verr := n(nil)
-		return c.constNode(constVal{v: v, err: verr})
-	}
-	gather := make([]int, 0, len(sub.refs))
-	for s := range sub.refs {
-		gather = append(gather, s)
-		c.refs[s] = true
-	}
-	sort.Ints(gather)
-	id := c.newVec()
-	return &texpr{fn: func(ev *TypedEval, b *TBatch, sel []int) (*Vector, int, error) {
-		out := &ev.vecs[id]
-		cells := out.BoxedBuf(ev.cap)
-		for _, r := range sel {
-			for _, s := range gather {
-				ev.row[s] = b.cols[s].ValueAt(r)
-			}
-			v, err := n(ev.row)
-			if err != nil {
-				return out, r, err
-			}
-			cells[r] = v
+// compileArgs compiles a node's operands in order, reporting whether every
+// one of them is a folded constant.
+func (c *typedCompiler) compileArgs(es []sqlparse.Expr) ([]*texpr, bool, error) {
+	args := make([]*texpr, len(es))
+	allConst := true
+	for i, e := range es {
+		a, ac, err := c.compile(e)
+		if err != nil {
+			return nil, false, err
 		}
-		return out, -1, nil
-	}}, nil, nil
+		args[i] = a
+		allConst = allConst && ac != nil
+	}
+	return args, allConst, nil
 }
 
 // compile returns the typed node for e and, when the subtree is
@@ -687,8 +705,25 @@ func (c *typedCompiler) compile(e sqlparse.Expr) (*texpr, *constVal, error) {
 	case *sqlparse.FuncCall:
 		return c.compileFunc(n)
 
-	case *sqlparse.InList, *sqlparse.Between:
-		return c.scalarTail(e)
+	case *sqlparse.InList:
+		args, allConst, err := c.compileArgs(append([]sqlparse.Expr{n.X}, n.List...))
+		if err != nil {
+			return nil, nil, err
+		}
+		if allConst {
+			return c.foldConst(e)
+		}
+		return c.inNode(args[0], args[1:], n.Negated), nil, nil
+
+	case *sqlparse.Between:
+		args, allConst, err := c.compileArgs([]sqlparse.Expr{n.X, n.Lo, n.Hi})
+		if err != nil {
+			return nil, nil, err
+		}
+		if allConst {
+			return c.foldConst(e)
+		}
+		return c.betweenNode(args[0], args[1], args[2], n.Negated), nil, nil
 
 	case *sqlparse.Star:
 		return nil, nil, fmt.Errorf("eval: * is not valid in an expression")
@@ -772,9 +807,12 @@ func (c *typedCompiler) compileBinary(n *sqlparse.BinaryExpr) (*texpr, *constVal
 		return nil, nil, err
 	}
 
-	// Mirror the scalar compiler's decided-left AND/OR fold exactly: the
-	// dead side is still compiled (binding errors must not hide behind a
-	// constant guard) but into a scratch ref set.
+	// A constant AND/OR left side can decide the whole expression before
+	// the right side is ever evaluated (the interpreter short-circuits the
+	// same way, so the fold is exact even if the right side would error).
+	// The dead side is still compiled — binding errors there must not hide
+	// behind a constant guard — but into a scratch compiler, so the program
+	// neither reports (nor needs filled) slots it never reads.
 	if lc != nil && (n.Op == "AND" || n.Op == "OR") {
 		var decided *constVal
 		switch {
@@ -786,7 +824,7 @@ func (c *typedCompiler) compileBinary(n *sqlparse.BinaryExpr) (*texpr, *constVal
 			decided = &constVal{v: value.Bool(true)}
 		}
 		if decided != nil {
-			sub := &compiler{layout: c.layout, refs: map[int]bool{}}
+			sub := &typedCompiler{layout: c.layout, refs: map[int]bool{}}
 			if _, _, err := sub.compile(n.R); err != nil {
 				return nil, nil, err
 			}
@@ -805,12 +843,12 @@ func (c *typedCompiler) compileBinary(n *sqlparse.BinaryExpr) (*texpr, *constVal
 	switch n.Op {
 	case "AND":
 		// Flatten only the left spine: evalNary's left fold then reproduces
-		// the scalar engine's nesting exactly. The right side must stay a
+		// the interpreter's nesting exactly. The right side must stay a
 		// single member even when it is itself an AND — value.And is not
 		// associative once non-bool operands mix with NULL (And(5, TRUE) is
 		// FALSE but And(5, NULL) is NULL), so splicing a right-nested AND
-		// would re-associate and diverge from the row-at-a-time engines on
-		// both values and error presence.
+		// would re-associate and diverge from the interpreter on both
+		// values and error presence.
 		members := append(tflattenAnd(l), *r)
 		return &texpr{and: members, vec: c.newVec(), state: c.newState(), live: c.newSel()}, nil, nil
 	case "OR":
@@ -845,7 +883,7 @@ func tflattenOr(n *texpr) []texpr {
 	return []texpr{*n}
 }
 
-// tbinOperands evaluates a binary node's operands with the scalar engine's
+// tbinOperands evaluates a binary node's operands with the interpreter's
 // per-row order: the right side runs only at rows where the left side
 // succeeded, and the reported failure is the one from the lowest row.
 func tbinOperands(ev *TypedEval, b *TBatch, sel []int, l, r *texpr) (lo, ro *Vector, bounded []int, errRow int, err error) {
@@ -860,135 +898,243 @@ func tbinOperands(ev *TypedEval, b *TBatch, sel []int, l, r *texpr) (lo, ro *Vec
 	return lo, ro, selBefore(sel, errRow), errRow, err
 }
 
-// cmpNode is the typed comparison kernel. The int64/float64 pairs (in all
-// four combinations), the string pair and the bool pair run native loops
-// that mirror value.Compare bug-for-bug — int64 operands widen to float64
-// (so values beyond 2^53 compare equal when their float images do) and
-// NaN compares equal to everything — and anything else falls back per
-// element to the boxed comparison.
+// cmpNode is the typed comparison node: both operands, then cmpKernel.
 func (c *typedCompiler) cmpNode(l, r *texpr, op string) *texpr {
 	kind := cmpOpKind(op)
 	id := c.newVec()
 	return &texpr{fn: func(ev *TypedEval, b *TBatch, sel []int) (*Vector, int, error) {
 		lo, ro, rows, errRow, err := tbinOperands(ev, b, sel, l, r)
 		out := &ev.vecs[id]
-		if len(rows) == 0 {
-			return out, errRow, err
+		if cr, cerr := cmpKernel(ev, out, lo, ro, rows, kind); cerr != nil {
+			return out, cr, cerr
+		}
+		return out, errRow, err
+	}}
+}
+
+// cmpKernel is the typed comparison kernel: it writes lo <kind> ro at the
+// rows into out and returns the first row whose comparison fails (-1 when
+// none does). The int64/float64 pairs (in all four combinations), the
+// string pair and the bool pair run native loops that mirror value.Compare
+// bug-for-bug — int64 operands widen to float64 (so values beyond 2^53
+// compare equal when their float images do) and NaN compares equal to
+// everything — and anything else falls back per element to the boxed
+// comparison.
+func cmpKernel(ev *TypedEval, out, lo, ro *Vector, rows []int, kind uint8) (int, error) {
+	if len(rows) == 0 {
+		return -1, nil
+	}
+	ob, on := out.BoolBuf(ev.cap)
+	switch {
+	case lo.Kind == VecInt && ro.Kind == VecInt:
+		ln, rn := ev.nullsOf(lo), ev.nullsOf(ro)
+		for _, rw := range rows {
+			if ln[rw] || rn[rw] {
+				on[rw] = true
+				continue
+			}
+			lf, rf := float64(lo.Ints[rw]), float64(ro.Ints[rw])
+			cv := 0
+			if lf < rf {
+				cv = -1
+			} else if lf > rf {
+				cv = 1
+			}
+			ob[rw], on[rw] = cmpKindHolds(kind, cv), false
+		}
+	case lo.Kind == VecFloat && ro.Kind == VecFloat:
+		ln, rn := ev.nullsOf(lo), ev.nullsOf(ro)
+		for _, rw := range rows {
+			if ln[rw] || rn[rw] {
+				on[rw] = true
+				continue
+			}
+			lf, rf := lo.Floats[rw], ro.Floats[rw]
+			cv := 0
+			if lf < rf {
+				cv = -1
+			} else if lf > rf {
+				cv = 1
+			}
+			ob[rw], on[rw] = cmpKindHolds(kind, cv), false
+		}
+	case lo.Kind == VecInt && ro.Kind == VecFloat:
+		ln, rn := ev.nullsOf(lo), ev.nullsOf(ro)
+		for _, rw := range rows {
+			if ln[rw] || rn[rw] {
+				on[rw] = true
+				continue
+			}
+			lf, rf := float64(lo.Ints[rw]), ro.Floats[rw]
+			cv := 0
+			if lf < rf {
+				cv = -1
+			} else if lf > rf {
+				cv = 1
+			}
+			ob[rw], on[rw] = cmpKindHolds(kind, cv), false
+		}
+	case lo.Kind == VecFloat && ro.Kind == VecInt:
+		ln, rn := ev.nullsOf(lo), ev.nullsOf(ro)
+		for _, rw := range rows {
+			if ln[rw] || rn[rw] {
+				on[rw] = true
+				continue
+			}
+			lf, rf := lo.Floats[rw], float64(ro.Ints[rw])
+			cv := 0
+			if lf < rf {
+				cv = -1
+			} else if lf > rf {
+				cv = 1
+			}
+			ob[rw], on[rw] = cmpKindHolds(kind, cv), false
+		}
+	case lo.Kind == VecStr && ro.Kind == VecStr:
+		ln, rn := ev.nullsOf(lo), ev.nullsOf(ro)
+		for _, rw := range rows {
+			if ln[rw] || rn[rw] {
+				on[rw] = true
+				continue
+			}
+			ls, rs := lo.Strs[rw], ro.Strs[rw]
+			cv := 0
+			if ls < rs {
+				cv = -1
+			} else if ls > rs {
+				cv = 1
+			}
+			ob[rw], on[rw] = cmpKindHolds(kind, cv), false
+		}
+	case lo.Kind == VecBool && ro.Kind == VecBool:
+		ln, rn := ev.nullsOf(lo), ev.nullsOf(ro)
+		for _, rw := range rows {
+			if ln[rw] || rn[rw] {
+				on[rw] = true
+				continue
+			}
+			li, ri := 0, 0
+			if lo.Bools[rw] {
+				li = 1
+			}
+			if ro.Bools[rw] {
+				ri = 1
+			}
+			ob[rw], on[rw] = cmpKindHolds(kind, li-ri), false
+		}
+	default:
+		for _, rw := range rows {
+			la, ra := lo.ValueAt(rw), ro.ValueAt(rw)
+			if la.IsNull() || ra.IsNull() {
+				on[rw] = true
+				continue
+			}
+			cv, ok, cerr := value.Compare(la, ra)
+			if cerr != nil {
+				return rw, cerr
+			}
+			if !ok {
+				on[rw] = true
+				continue
+			}
+			ob[rw], on[rw] = cmpKindHolds(kind, cv), false
+		}
+	}
+	return -1, nil
+}
+
+// betweenNode evaluates x, lo and hi once each, every one at the rows
+// before the earliest failure so far, then runs the comparison kernel for
+// x >= lo and x <= hi. Like the interpreter there is no short-circuit:
+// a row's error is the first of x, lo, hi, the lo comparison and the hi
+// comparison, and the result is NULL when either comparison is.
+func (c *typedCompiler) betweenNode(x, lo, hi *texpr, negated bool) *texpr {
+	geID, leID, id := c.newVec(), c.newVec(), c.newVec()
+	return &texpr{fn: func(ev *TypedEval, b *TBatch, sel []int) (*Vector, int, error) {
+		xo, errRow, err := x.eval(ev, b, sel)
+		loo, er, lerr := lo.eval(ev, b, selBefore(sel, errRow))
+		if lerr != nil {
+			errRow, err = er, lerr
+		}
+		hio, er, herr := hi.eval(ev, b, selBefore(sel, errRow))
+		if herr != nil {
+			errRow, err = er, herr
+		}
+		rows := selBefore(sel, errRow)
+		ge, le, out := &ev.vecs[geID], &ev.vecs[leID], &ev.vecs[id]
+		if cr, cerr := cmpKernel(ev, ge, xo, loo, rows, cmpOpKind(">=")); cerr != nil {
+			errRow, err, rows = cr, cerr, selBefore(rows, cr)
+		}
+		if cr, cerr := cmpKernel(ev, le, xo, hio, rows, cmpOpKind("<=")); cerr != nil {
+			errRow, err, rows = cr, cerr, selBefore(rows, cr)
 		}
 		ob, on := out.BoolBuf(ev.cap)
-		switch {
-		case lo.Kind == VecInt && ro.Kind == VecInt:
-			ln, rn := ev.nullsOf(lo), ev.nullsOf(ro)
-			for _, rw := range rows {
-				if ln[rw] || rn[rw] {
-					on[rw] = true
-					continue
-				}
-				lf, rf := float64(lo.Ints[rw]), float64(ro.Ints[rw])
-				cv := 0
-				if lf < rf {
-					cv = -1
-				} else if lf > rf {
-					cv = 1
-				}
-				ob[rw], on[rw] = cmpKindHolds(kind, cv), false
+		for _, r := range rows {
+			if ge.Nulls[r] || le.Nulls[r] {
+				on[r] = true
+				continue
 			}
-		case lo.Kind == VecFloat && ro.Kind == VecFloat:
-			ln, rn := ev.nullsOf(lo), ev.nullsOf(ro)
-			for _, rw := range rows {
-				if ln[rw] || rn[rw] {
-					on[rw] = true
-					continue
-				}
-				lf, rf := lo.Floats[rw], ro.Floats[rw]
-				cv := 0
-				if lf < rf {
-					cv = -1
-				} else if lf > rf {
-					cv = 1
-				}
-				ob[rw], on[rw] = cmpKindHolds(kind, cv), false
+			ob[r], on[r] = (ge.Bools[r] && le.Bools[r]) != negated, false
+		}
+		return out, errRow, err
+	}}
+}
+
+// inNode evaluates x IN (items) with the interpreter's per-row loop over
+// the list: item i runs only at the rows still undecided — x not NULL, no
+// earlier item equal, no error yet — the live-selection pattern of the
+// AND/OR spines. A NULL comparison marks the row as having seen a NULL; a
+// row whose comparison fails reports that error.
+func (c *typedCompiler) inNode(x *texpr, items []*texpr, negated bool) *texpr {
+	eqID, id, stID, liveID := c.newVec(), c.newVec(), c.newState(), c.newSel()
+	return &texpr{fn: func(ev *TypedEval, b *TBatch, sel []int) (*Vector, int, error) {
+		xo, errRow, err := x.eval(ev, b, sel)
+		out := &ev.vecs[id]
+		st := ev.states[stID]
+		live := ev.sels[liveID][:0]
+		for _, r := range selBefore(sel, errRow) {
+			if xo.NullAt(r) {
+				st[r] = sNull // decided: a NULL x is never compared
+				continue
 			}
-		case lo.Kind == VecInt && ro.Kind == VecFloat:
-			ln, rn := ev.nullsOf(lo), ev.nullsOf(ro)
-			for _, rw := range rows {
-				if ln[rw] || rn[rw] {
-					on[rw] = true
-					continue
-				}
-				lf, rf := float64(lo.Ints[rw]), ro.Floats[rw]
-				cv := 0
-				if lf < rf {
-					cv = -1
-				} else if lf > rf {
-					cv = 1
-				}
-				ob[rw], on[rw] = cmpKindHolds(kind, cv), false
+			st[r] = sFalse
+			live = append(live, r)
+		}
+		eq := &ev.vecs[eqID]
+		for _, item := range items {
+			if len(live) == 0 {
+				break
 			}
-		case lo.Kind == VecFloat && ro.Kind == VecInt:
-			ln, rn := ev.nullsOf(lo), ev.nullsOf(ro)
-			for _, rw := range rows {
-				if ln[rw] || rn[rw] {
-					on[rw] = true
-					continue
-				}
-				lf, rf := lo.Floats[rw], float64(ro.Ints[rw])
-				cv := 0
-				if lf < rf {
-					cv = -1
-				} else if lf > rf {
-					cv = 1
-				}
-				ob[rw], on[rw] = cmpKindHolds(kind, cv), false
+			io, ier, ierr := item.eval(ev, b, live)
+			if ierr != nil {
+				// ier is a live row, so strictly below any previous bound.
+				errRow, err, live = ier, ierr, selBefore(live, ier)
 			}
-		case lo.Kind == VecStr && ro.Kind == VecStr:
-			ln, rn := ev.nullsOf(lo), ev.nullsOf(ro)
-			for _, rw := range rows {
-				if ln[rw] || rn[rw] {
-					on[rw] = true
-					continue
-				}
-				ls, rs := lo.Strs[rw], ro.Strs[rw]
-				cv := 0
-				if ls < rs {
-					cv = -1
-				} else if ls > rs {
-					cv = 1
-				}
-				ob[rw], on[rw] = cmpKindHolds(kind, cv), false
+			if cr, cerr := cmpKernel(ev, eq, xo, io, live, cmpOpKind("=")); cerr != nil {
+				errRow, err, live = cr, cerr, selBefore(live, cr)
 			}
-		case lo.Kind == VecBool && ro.Kind == VecBool:
-			ln, rn := ev.nullsOf(lo), ev.nullsOf(ro)
-			for _, rw := range rows {
-				if ln[rw] || rn[rw] {
-					on[rw] = true
+			w := 0
+			for _, r := range live {
+				if eq.Nulls[r] {
+					st[r] = sNull
+				} else if eq.Bools[r] {
+					st[r] = sTrue
 					continue
 				}
-				li, ri := 0, 0
-				if lo.Bools[rw] {
-					li = 1
-				}
-				if ro.Bools[rw] {
-					ri = 1
-				}
-				ob[rw], on[rw] = cmpKindHolds(kind, li-ri), false
+				live[w] = r
+				w++
 			}
-		default:
-			for _, rw := range rows {
-				la, ra := lo.ValueAt(rw), ro.ValueAt(rw)
-				if la.IsNull() || ra.IsNull() {
-					on[rw] = true
-					continue
-				}
-				cv, ok, cerr := value.Compare(la, ra)
-				if cerr != nil {
-					return out, rw, cerr
-				}
-				if !ok {
-					on[rw] = true
-					continue
-				}
-				ob[rw], on[rw] = cmpKindHolds(kind, cv), false
+			live = live[:w]
+		}
+		ob, on := out.BoolBuf(ev.cap)
+		for _, r := range selBefore(sel, errRow) {
+			switch st[r] {
+			case sTrue:
+				ob[r], on[r] = !negated, false
+			case sNull:
+				on[r] = true
+			default:
+				ob[r], on[r] = negated, false
 			}
 		}
 		return out, errRow, err
@@ -1086,7 +1232,7 @@ func (c *typedCompiler) arithNode(l, r *texpr, op string) *texpr {
 }
 
 // likeNode vectorizes LIKE with the constant-pattern specializations of
-// the row engines; with a string column operand the matcher runs straight
+// the interpreter; with a string column operand the matcher runs straight
 // over the native payload.
 func (c *typedCompiler) likeNode(l, r *texpr, rc *constVal) *texpr {
 	if rc != nil {
@@ -1111,7 +1257,7 @@ func (c *typedCompiler) likeNode(l, r *texpr, rc *constVal) *texpr {
 			if match == nil {
 				rx, err := compileLike(pat)
 				if err != nil {
-					break // defer the pattern error to evaluation, like the row engines
+					break // defer the pattern error to evaluation, like the interpreter
 				}
 				match = rx.MatchString
 			}
@@ -1187,88 +1333,179 @@ var float1 = map[string]func(float64) float64{
 	"DEGREES": func(x float64) float64 { return x * 180 / math.Pi },
 }
 
-// compileFunc vectorizes fixed-arity scalar functions by looping the
-// shared kernels, with a native float fast path for the numeric unary
-// functions over float (and, except ABS, int) vectors; COALESCE and arity
-// errors fall back to the scalar tail.
+// compileFunc checks the function name and arity at compile time (after
+// the arguments, whose binding errors come first), folds all-constant
+// calls, and vectorizes the rest.
 func (c *typedCompiler) compileFunc(n *sqlparse.FuncCall) (*texpr, *constVal, error) {
 	name := strings.ToUpper(n.Name)
-	if k := scalar1[name]; k != nil && len(n.Args) == 1 {
-		a, ac, err := c.compile(n.Args[0])
-		if err != nil {
-			return nil, nil, err
+	args, allConst, err := c.compileArgs(n.Args)
+	if err != nil {
+		return nil, nil, err
+	}
+	k1, k2 := scalar1[name], scalar2[name]
+	switch {
+	case k1 != nil && len(args) != 1:
+		return nil, nil, arityErr(name, 1, len(args))
+	case k2 != nil && len(args) != 2:
+		return nil, nil, arityErr(name, 2, len(args))
+	case k1 == nil && k2 == nil && name != "COALESCE":
+		return nil, nil, fmt.Errorf("eval: unknown function %q", n.Name)
+	}
+	if allConst {
+		return c.foldConst(n)
+	}
+	switch {
+	case k1 != nil:
+		return c.func1Node(name, k1, args[0]), nil, nil
+	case k2 != nil:
+		return c.func2Node(k2, args[0], args[1]), nil, nil
+	}
+	return c.coalesceNode(args), nil, nil
+}
+
+// func1Node loops a unary kernel, with a native float fast path for the
+// numeric functions over float (and, except ABS, int) vectors.
+func (c *typedCompiler) func1Node(name string, k kernel1, a *texpr) *texpr {
+	fk := float1[name]
+	id := c.newVec()
+	return &texpr{fn: func(ev *TypedEval, b *TBatch, sel []int) (*Vector, int, error) {
+		ao, er, aerr := a.eval(ev, b, sel)
+		out := &ev.vecs[id]
+		rows := selBefore(sel, er)
+		if len(rows) == 0 {
+			return out, er, aerr
 		}
-		if ac != nil {
-			return c.foldConst(n)
-		}
-		fk := float1[name]
-		id := c.newVec()
-		return &texpr{fn: func(ev *TypedEval, b *TBatch, sel []int) (*Vector, int, error) {
-			ao, er, aerr := a.eval(ev, b, sel)
-			out := &ev.vecs[id]
-			rows := selBefore(sel, er)
-			if len(rows) == 0 {
-				return out, er, aerr
-			}
-			if fk != nil && (ao.Kind == VecFloat || ao.Kind == VecInt && name != "ABS") {
-				vals, nulls := out.FloatBuf(ev.cap)
-				an := ev.nullsOf(ao)
-				if ao.Kind == VecFloat {
-					for _, rw := range rows {
-						if an[rw] {
-							nulls[rw] = true
-							continue
-						}
-						vals[rw], nulls[rw] = fk(ao.Floats[rw]), false
+		if fk != nil && (ao.Kind == VecFloat || ao.Kind == VecInt && name != "ABS") {
+			vals, nulls := out.FloatBuf(ev.cap)
+			an := ev.nullsOf(ao)
+			if ao.Kind == VecFloat {
+				for _, rw := range rows {
+					if an[rw] {
+						nulls[rw] = true
+						continue
 					}
-				} else {
-					for _, rw := range rows {
-						if an[rw] {
-							nulls[rw] = true
-							continue
-						}
-						vals[rw], nulls[rw] = fk(float64(ao.Ints[rw])), false
+					vals[rw], nulls[rw] = fk(ao.Floats[rw]), false
+				}
+			} else {
+				for _, rw := range rows {
+					if an[rw] {
+						nulls[rw] = true
+						continue
 					}
+					vals[rw], nulls[rw] = fk(float64(ao.Ints[rw])), false
 				}
-				return out, er, aerr
-			}
-			cells := out.BoxedBuf(ev.cap)
-			for _, rw := range rows {
-				v, kerr := k(ao.ValueAt(rw))
-				if kerr != nil {
-					return out, rw, kerr
-				}
-				cells[rw] = v
 			}
 			return out, er, aerr
-		}}, nil, nil
-	}
-	if k := scalar2[name]; k != nil && len(n.Args) == 2 {
-		a, ac, err := c.compile(n.Args[0])
-		if err != nil {
-			return nil, nil, err
 		}
-		bb, bc, err := c.compile(n.Args[1])
-		if err != nil {
-			return nil, nil, err
-		}
-		if ac != nil && bc != nil {
-			return c.foldConst(n)
-		}
-		id := c.newVec()
-		return &texpr{fn: func(ev *TypedEval, b *TBatch, sel []int) (*Vector, int, error) {
-			ao, bo, rows, errRow, err := tbinOperands(ev, b, sel, a, bb)
-			out := &ev.vecs[id]
-			cells := out.BoxedBuf(ev.cap)
-			for _, rw := range rows {
-				v, kerr := k(ao.ValueAt(rw), bo.ValueAt(rw))
-				if kerr != nil {
-					return out, rw, kerr
-				}
-				cells[rw] = v
+		cells := out.BoxedBuf(ev.cap)
+		for _, rw := range rows {
+			v, kerr := k(ao.ValueAt(rw))
+			if kerr != nil {
+				return out, rw, kerr
 			}
-			return out, errRow, err
-		}}, nil, nil
+			cells[rw] = v
+		}
+		return out, er, aerr
+	}}
+}
+
+// func2Node loops a binary kernel over the boxed operand values.
+func (c *typedCompiler) func2Node(k kernel2, a, bb *texpr) *texpr {
+	id := c.newVec()
+	return &texpr{fn: func(ev *TypedEval, b *TBatch, sel []int) (*Vector, int, error) {
+		ao, bo, rows, errRow, err := tbinOperands(ev, b, sel, a, bb)
+		out := &ev.vecs[id]
+		cells := out.BoxedBuf(ev.cap)
+		for _, rw := range rows {
+			v, kerr := k(ao.ValueAt(rw), bo.ValueAt(rw))
+			if kerr != nil {
+				return out, rw, kerr
+			}
+			cells[rw] = v
+		}
+		return out, errRow, err
+	}}
+}
+
+// coalesceNode evaluates every argument at every row — no short-circuit,
+// so a later argument's error still fires, as in the interpreter — each
+// at the rows before the earliest failure so far, and keeps the first
+// non-NULL value per row. A typed first argument with no NULL at those
+// rows is the result as it stands.
+func (c *typedCompiler) coalesceNode(args []*texpr) *texpr {
+	id := c.newVec()
+	return &texpr{fn: func(ev *TypedEval, b *TBatch, sel []int) (*Vector, int, error) {
+		a0, errRow, err := args[0].eval(ev, b, sel)
+		rows := selBefore(sel, errRow)
+		if len(rows) > 0 && a0.Kind != VecBoxed && !anyNull(a0.Nulls, rows) {
+			for _, a := range args[1:] {
+				if _, er, aerr := a.eval(ev, b, selBefore(sel, errRow)); aerr != nil {
+					errRow, err = er, aerr
+				}
+			}
+			return a0, errRow, err
+		}
+		out := &ev.vecs[id]
+		cells := out.BoxedBuf(ev.cap)
+		for _, r := range rows {
+			cells[r] = a0.ValueAt(r)
+		}
+		for _, a := range args[1:] {
+			ao, er, aerr := a.eval(ev, b, selBefore(sel, errRow))
+			if aerr != nil {
+				errRow, err = er, aerr
+			}
+			for _, r := range selBefore(sel, errRow) {
+				if cells[r].IsNull() {
+					cells[r] = ao.ValueAt(r)
+				}
+			}
+		}
+		return out, errRow, err
+	}}
+}
+
+// anyNull reports whether a null mask (nil: no NULLs) marks any of rows.
+func anyNull(nulls []bool, rows []int) bool {
+	if nulls == nil {
+		return false
 	}
-	return c.scalarTail(n)
+	for _, r := range rows {
+		if nulls[r] {
+			return true
+		}
+	}
+	return false
+}
+
+// likeMatcher translates the common simple LIKE shapes — exact ("abc"),
+// prefix ("abc%"), suffix ("%abc"), substring ("%abc%") and match-all
+// ("%", "%%") — into direct string predicates, skipping the regexp engine
+// entirely. Patterns with "_" or interior "%" return nil and fall back to
+// the compiled regexp, whose semantics these shortcuts mirror exactly
+// (the differential fuzzer cross-checks them against the interpreter's
+// regexp path).
+func likeMatcher(pat string) func(string) bool {
+	if strings.ContainsRune(pat, '_') {
+		return nil
+	}
+	switch strings.Count(pat, "%") {
+	case 0:
+		return func(s string) bool { return s == pat }
+	case 1:
+		switch {
+		case strings.HasSuffix(pat, "%"):
+			p := pat[:len(pat)-1]
+			return func(s string) bool { return strings.HasPrefix(s, p) }
+		case strings.HasPrefix(pat, "%"):
+			suf := pat[1:]
+			return func(s string) bool { return strings.HasSuffix(s, suf) }
+		}
+	case 2:
+		if strings.HasPrefix(pat, "%") && strings.HasSuffix(pat, "%") && len(pat) >= 2 {
+			mid := pat[1 : len(pat)-1]
+			return func(s string) bool { return strings.Contains(s, mid) }
+		}
+	}
+	return nil
 }

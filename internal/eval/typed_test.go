@@ -4,12 +4,61 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"skyquery/internal/sqlparse"
 	"skyquery/internal/value"
 )
+
+// envFromLayout builds the interpreter environment matching a layout and a
+// row, so both paths resolve exactly the same names to the same values.
+func envFromLayout(layout MapLayout, row []value.Value) MapEnv {
+	env := MapEnv{}
+	for name, slot := range layout {
+		env[name] = row[slot]
+	}
+	return env
+}
+
+// stdLayout is the differential tests' column universe: qualified and bare
+// names over the first slots of a row.
+var stdLayout = MapLayout{
+	"O.type":   0,
+	"O.i_flux": 1,
+	"T.i_flux": 2,
+	"O.dec":    3,
+	"name":     4,
+	"n":        5,
+	"x":        6,
+}
+
+func stdRows() [][]value.Value {
+	rows := [][]value.Value{
+		{value.String("GALAXY"), value.Float(12.5), value.Float(9), value.Float(-12.25), value.String("NGC 1275"), value.Int(7), value.Int(-3)},
+		{value.String("STAR"), value.Float(1.5), value.Float(1.25), value.Float(89.9), value.String("M31"), value.Int(0), value.Int(math.MinInt64)},
+		{value.Null, value.Null, value.Float(2), value.Null, value.Null, value.Int(-1), value.Float(math.NaN())},
+		{value.String(""), value.Int(3), value.Int(3), value.Float(0), value.String("NGC%"), value.Null, value.Bool(true)},
+	}
+	return rows
+}
+
+// decidedRows are rows on which an IN list is decided by an early item
+// while a later item would fail to compare on the decided row (and another
+// row of the batch is still undecided, so the later item does run), and on
+// which a BETWEEN with a NULL bound still fails on its other bound: the
+// rows that tell a short-circuiting implementation from the interpreter.
+func decidedRows() [][]value.Value {
+	return [][]value.Value{
+		{value.String("QSO"), value.Float(1), value.Float(2), value.Float(0), value.String("M31"), value.Int(5), value.Int(5)},
+		{value.String("GALAXY"), value.Float(2), value.Float(1), value.Float(9), value.Null, value.Int(2), value.Int(3)},
+		{value.String("STAR"), value.Float(3), value.Null, value.Float(-1), value.Null, value.Int(1), value.String("a")},
+	}
+}
 
 // columnTypeOf derives a declared type for a test column: the uniform type
 // of its non-NULL cells, or NullType (→ boxed vector) when cells mix.
@@ -41,13 +90,22 @@ func tbatchFromRows(width, capacity int, rows [][]value.Value) *TBatch {
 	return b
 }
 
-// scalarRowResults evaluates the scalar program row by row, returning the
-// per-row values and the first erroring row (-1 if none) — the reference
-// the typed batch engine must reproduce exactly.
-func scalarRowResults(prog *Program, rows [][]value.Value) (vals []value.Value, firstErr int, err error) {
+// layoutWidth is the batch width a layout needs.
+func layoutWidth(layout MapLayout) int {
+	width := 0
+	for _, s := range layout {
+		width = max(width, s+1)
+	}
+	return width
+}
+
+// interpRowResults evaluates e with the interpreter row by row, returning
+// the per-row values and the first erroring row (-1 if none) — the
+// reference the typed batch engine must reproduce exactly.
+func interpRowResults(e sqlparse.Expr, layout MapLayout, rows [][]value.Value) (vals []value.Value, firstErr int, err error) {
 	vals = make([]value.Value, len(rows))
 	for i, row := range rows {
-		v, verr := prog.Eval(row)
+		v, verr := Eval(e, envFromLayout(layout, row))
 		if verr != nil {
 			return vals, i, verr
 		}
@@ -56,33 +114,22 @@ func scalarRowResults(prog *Program, rows [][]value.Value) (vals []value.Value, 
 	return vals, -1, nil
 }
 
-// typedCompare holds the typed engine to the scalar reference results:
-// identical values (and types) per row, the identical first erroring row,
-// and Filter agreement — over the full batch and split into chunks of
-// every size from 1 up, to shake out batch-boundary bugs.
-func typedCompare(t *testing.T, src string, layout MapLayout, rows [][]value.Value, want []value.Value, wantErrRow int, wantErr error) {
+// typedCompare holds the typed engine to the interpreter: identical values
+// (and types) per row, the identical first erroring row, and Filter
+// agreement — over the full batch and split into chunks of every size from
+// 1 up, to shake out batch-boundary bugs. The expression must compile.
+func typedCompare(t *testing.T, src string, layout MapLayout, rows [][]value.Value) {
 	t.Helper()
 	e, err := sqlparse.ParseExpr(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	width := 0
-	for _, s := range layout {
-		if s+1 > width {
-			width = s + 1
-		}
+	width := layoutWidth(layout)
+	tprog, err := CompileTyped(e, layout)
+	if err != nil {
+		t.Fatalf("compile %q: %v", src, err)
 	}
-	prog, serr := Compile(e, layout)
-	tprog, terr := CompileTyped(e, layout)
-	if (serr != nil) != (terr != nil) {
-		t.Fatalf("%q: scalar compile err=%v, typed compile err=%v", src, serr, terr)
-	}
-	if serr != nil {
-		return
-	}
-	if !reflect.DeepEqual(prog.Refs(), tprog.Refs()) {
-		t.Errorf("%q: scalar refs %v, typed refs %v", src, prog.Refs(), tprog.Refs())
-	}
+	want, wantErrRow, wantErr := interpRowResults(e, layout, rows)
 
 	for chunk := 1; chunk <= len(rows); chunk++ {
 		ev := tprog.NewEval(chunk)
@@ -98,7 +145,7 @@ func typedCompare(t *testing.T, src string, layout MapLayout, rows [][]value.Val
 				expErrRow = wantErrRow - off
 			}
 			if (err != nil) != (expErrRow >= 0) || errRow != expErrRow {
-				t.Fatalf("%q chunk=%d off=%d: typed errRow=%d err=%v, scalar first error row %d (%v)",
+				t.Fatalf("%q chunk=%d off=%d: typed errRow=%d err=%v, interpreter first error row %d (%v)",
 					src, chunk, off, errRow, err, wantErrRow, wantErr)
 			}
 			limit := end - off
@@ -109,7 +156,7 @@ func typedCompare(t *testing.T, src string, layout MapLayout, rows [][]value.Val
 				w := want[off+i]
 				g := got.ValueAt(i)
 				if !value.Equal(w, g) || w.Type() != g.Type() {
-					t.Fatalf("%q chunk=%d row %d: scalar=%v (%v), typed=%v (%v)",
+					t.Fatalf("%q chunk=%d row %d: interpreter=%v (%v), typed=%v (%v)",
 						src, chunk, off+i, w, w.Type(), g, g.Type())
 				}
 			}
@@ -141,6 +188,38 @@ func typedCompare(t *testing.T, src string, layout MapLayout, rows [][]value.Val
 	}
 	b.Release()
 	ev.Release()
+}
+
+// typedRowwise evaluates every row alone, in a batch of one, and holds the
+// typed engine to the interpreter on each: values and error presence,
+// including the rows after an erroring one that typedCompare never
+// reaches. The expression must compile.
+func typedRowwise(t *testing.T, src string, layout MapLayout, rows [][]value.Value) {
+	t.Helper()
+	e, err := sqlparse.ParseExpr(src)
+	if err != nil {
+		t.Fatalf("parse %q: %v", src, err)
+	}
+	tprog, err := CompileTyped(e, layout)
+	if err != nil {
+		t.Fatalf("compile %q: %v", src, err)
+	}
+	ev := tprog.NewEval(1)
+	defer ev.Release()
+	for ri, row := range rows {
+		iv, ierr := Eval(e, envFromLayout(layout, row))
+		b := tbatchFromRows(layoutWidth(layout), 1, [][]value.Value{row})
+		got, _, terr := tprog.EvalVec(ev, b, ev.Seq(1))
+		if (ierr != nil) != (terr != nil) {
+			t.Fatalf("%q row %d: interpreter err=%v, typed err=%v (row %v)", src, ri, ierr, terr, row)
+		}
+		if ierr == nil {
+			if g := got.ValueAt(0); !value.Equal(iv, g) || iv.Type() != g.Type() {
+				t.Fatalf("%q row %d: interpreter=%v (%v), typed=%v (%v) (row %v)", src, ri, iv, iv.Type(), g, g.Type(), row)
+			}
+		}
+		b.Release()
+	}
 }
 
 // typedRows is a homogeneous-column row set that drives every native
@@ -190,37 +269,9 @@ var typedExprs = []string{
 func TestTypedMatchesScalarEngines(t *testing.T) {
 	for _, rows := range [][][]value.Value{typedRows(), stdRows()} {
 		for _, src := range typedExprs {
-			e, err := sqlparse.ParseExpr(src)
-			if err != nil {
-				t.Fatalf("parse %q: %v", src, err)
-			}
-			prog, serr := Compile(e, stdLayout)
-			if serr != nil {
-				t.Fatalf("compile %q: %v", src, serr)
-			}
-			want, wantErrRow, wantErr := scalarRowResults(prog, rows)
-			typedCompare(t, src, stdLayout, rows, want, wantErrRow, wantErr)
+			typedCompare(t, src, stdLayout, rows)
 		}
 	}
-}
-
-// threeWayCompare asserts the interpreter, the compiled scalar program and
-// the typed batch program agree on every row: compileAndCompare holds the
-// scalar program to the interpreter, and typedCompare holds the typed
-// program to the scalar reference — values, types and first erroring row.
-func threeWayCompare(t *testing.T, src string, layout MapLayout, rows [][]value.Value) {
-	t.Helper()
-	e, err := sqlparse.ParseExpr(src)
-	if err != nil {
-		t.Fatalf("parse %q: %v", src, err)
-	}
-	prog, err := Compile(e, layout)
-	if err != nil {
-		t.Fatalf("compile %q: %v", src, err)
-	}
-	compileAndCompare(t, src, layout, rows)
-	want, wantErrRow, wantErr := scalarRowResults(prog, rows)
-	typedCompare(t, src, layout, rows, want, wantErrRow, wantErr)
 }
 
 func TestBatchMatchesScalarAndInterpreter(t *testing.T) {
@@ -268,10 +319,21 @@ func TestBatchMatchesScalarAndInterpreter(t *testing.T) {
 		"x AND (x > 0 AND n / (n - n) > 0)",
 		"x OR (n OR NULL)", "x OR ((n > 0) OR NULL)", "(x OR n) OR NULL",
 		"x OR (x > 0 OR n / (n - n) > 0)",
+		// Native IN, BETWEEN and COALESCE. An IN item runs only at rows no
+		// earlier item decided (n = 7 must not reach 1 / 0, nor a decided
+		// row compare n with name); BETWEEN and COALESCE never
+		// short-circuit (a NULL bound still compares the other one, and a
+		// later COALESCE argument's error still fires).
+		"n IN (7, 1 / 0)", "n IN (x, name)", "n NOT IN (1, NULL)",
+		"n IN (NULL, 7, 1 / 0)",
+		"x BETWEEN name AND 1", "NOT (n BETWEEN NULL AND 5)",
+		"COALESCE(n, 1 / (n - n))",
 	}
-	rows := stdRows()
-	for _, src := range exprs {
-		threeWayCompare(t, src, stdLayout, rows)
+	for _, rows := range [][][]value.Value{stdRows(), decidedRows()} {
+		for _, src := range exprs {
+			typedCompare(t, src, stdLayout, rows)
+			typedRowwise(t, src, stdLayout, rows)
+		}
 	}
 }
 
@@ -346,6 +408,42 @@ func TestTypedConstantFolding(t *testing.T) {
 	}
 	ev.Release()
 	ev2.Release()
+}
+
+func TestAbsMinInt64(t *testing.T) {
+	// -math.MinInt64 overflows int64; ABS must fall back to the float
+	// magnitude instead of returning a negative "absolute value".
+	want := value.Float(9.223372036854775808e18)
+	env := MapEnv{"x": value.Int(math.MinInt64)}
+	got := evalStr(t, "ABS(x)", env)
+	if got.Type() != value.FloatType || !value.Equal(got, want) {
+		t.Errorf("interpreted ABS(MinInt64) = %v (%v), want %v", got, got.Type(), want)
+	}
+	e, err := sqlparse.ParseExpr("ABS(x)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := CompileTyped(e, MapLayout{"x": 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewTBatch(1, 2)
+	b.Col(0).SetIntView([]int64{math.MinInt64, -3}, nil)
+	b.SetLen(2)
+	ev := p.NewEval(2)
+	out, _, err := p.EvalVec(ev, b, ev.Seq(2))
+	if cv := out.ValueAt(0); err != nil || cv.Type() != value.FloatType || !value.Equal(cv, want) {
+		t.Errorf("typed ABS(MinInt64) = %v (%v), %v; want %v", cv, cv.Type(), err, want)
+	}
+	// Ordinary negatives still stay integral.
+	if cv := out.ValueAt(1); !value.Equal(cv, value.Int(3)) || cv.Type() != value.IntType {
+		t.Errorf("typed ABS(-3) = %v (%v)", cv, cv.Type())
+	}
+	if got := evalStr(t, "ABS(-3)", MapEnv{}); !value.Equal(got, value.Int(3)) || got.Type() != value.IntType {
+		t.Errorf("ABS(-3) = %v (%v)", got, got.Type())
+	}
+	ev.Release()
+	b.Release()
 }
 
 func TestNilTypedProgram(t *testing.T) {
@@ -572,91 +670,161 @@ func fuzzTypedRows(nCols, nRows int, seed int64) [][]value.Value {
 	return rows
 }
 
-// FuzzBatchDifferential is the three-way differential fuzzer: on every
-// parseable expression and random row set, the interpreter, the scalar
-// program and the typed batch program must agree on values, and the
-// compiled engines must fail on the identical first row. Rows come from
-// two generators: the historical per-cell-random one (mixed-type columns,
-// driving the typed engine's boxed fallbacks) and a NULL-heavy one with a
-// stable type per column (driving the native int64/float64/string/bool
-// kernels, including the 2^53 float-widening edge). Seeds reuse the
-// FuzzParseExpr corpus, like FuzzCompileDifferential.
-func FuzzBatchDifferential(f *testing.F) {
-	seeds := []string{
-		`(O.i_flux - T.i_flux) > 2`,
-		`1 + 2 * 3 = 7 AND 2 < 3 OR FALSE`,
-		`a.name = 'O''Neill'`,
-		`ABS(O.a + T.b) > 1 AND O.c IS NULL AND T.d IN (1, O.e) AND O.f BETWEEN 1 AND 2`,
-		`x LIKE '%''%'`,
-		`COALESCE(a, b, 1) % 2 = 0`,
-		`NOT NOT NOT x`,
-		`a / b > c OR d % e = 0`,
-		// Typed fast paths and their fallbacks: NULL-heavy mixed int/float
-		// comparisons, widening equality, native AND/OR spines.
-		`a = b AND a <= 9007199254740993 AND b >= -5`,
-		`a IS NULL OR a > 0.5 AND b <> 2`,
-		`a + 0.5 > b AND a % 3 = 0`,
-		`a < b OR b IS NULL AND a * 2 >= b`,
+// fuzzLayout binds every column an expression references to its own slot,
+// reporting false for unparseable or oversized inputs and for expressions
+// that fail to compile (with every column bound, a compile error is a
+// row-independent one — unknown function, arity, * — that the interpreter
+// may only dodge via short-circuiting: nothing to cross-check).
+func fuzzLayout(src string) (MapLayout, bool) {
+	e, err := sqlparse.ParseExpr(src)
+	if err != nil {
+		return nil, false
 	}
-	for _, s := range seeds {
+	cols := sqlparse.Columns(e)
+	if len(cols) > 64 {
+		return nil, false
+	}
+	layout := MapLayout{}
+	for i, c := range cols {
+		key := c.Column
+		if c.Table != "" {
+			key = c.Table + "." + c.Column
+		}
+		layout[key] = i
+	}
+	if _, err := CompileTyped(e, layout); err != nil {
+		return nil, false
+	}
+	return layout, true
+}
+
+// addFuzzSeeds seeds a differential fuzzer with the hand-written inputs and
+// then the FuzzParseExpr corpus (the predicate strings the chain re-parses
+// off the wire).
+func addFuzzSeeds(f *testing.F) {
+	for _, s := range fuzzSeeds {
 		f.Add(s, int64(1))
 	}
 	for _, s := range parseExprCorpus(f) {
 		f.Add(s, int64(2))
 	}
+}
+
+var fuzzSeeds = []string{
+	`(O.i_flux - T.i_flux) > 2`,
+	`1 + 2 * 3 = 7 AND 2 < 3 OR FALSE`,
+	`a.name = 'O''Neill'`,
+	`ABS(O.a + T.b) > 1 AND O.c IS NULL AND T.d IN (1, O.e) AND O.f BETWEEN 1 AND 2`,
+	`x LIKE '%''%'`,
+	`COALESCE(a, b, 1) % 2 = 0`,
+	`NOT NOT NOT x`,
+	`a / b > c OR d % e = 0`,
+	// Typed fast paths and their fallbacks: NULL-heavy mixed int/float
+	// comparisons, widening equality, native AND/OR spines.
+	`a = b AND a <= 9007199254740993 AND b >= -5`,
+	`a IS NULL OR a > 0.5 AND b <> 2`,
+	`a + 0.5 > b AND a % 3 = 0`,
+	`a < b OR b IS NULL AND a * 2 >= b`,
+}
+
+// FuzzBatchDifferential is the batch differential fuzzer: on every
+// parseable expression and random row set, the typed batch program must
+// agree with the interpreter on values and fail on the identical first
+// row, at every chunking and through Filter. Rows come from two
+// generators: the historical per-cell-random one (mixed-type columns,
+// driving the typed engine's boxed fallbacks) and a NULL-heavy one with a
+// stable type per column (driving the native int64/float64/string/bool
+// kernels, including the 2^53 float-widening edge).
+func FuzzBatchDifferential(f *testing.F) {
+	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, src string, seed int64) {
-		e, err := sqlparse.ParseExpr(src)
-		if err != nil {
+		layout, ok := fuzzLayout(src)
+		if !ok {
 			return
 		}
-		cols := sqlparse.Columns(e)
-		if len(cols) > 64 {
-			return
-		}
-		layout := MapLayout{}
-		for i, c := range cols {
-			key := c.Column
-			if c.Table != "" {
-				key = c.Table + "." + c.Column
-			}
-			layout[key] = i
-		}
-		prog, serr := Compile(e, layout)
-		if _, terr := CompileTyped(e, layout); (serr != nil) != (terr != nil) {
-			t.Fatalf("%q: scalar compile err=%v, typed compile err=%v", src, serr, terr)
-		}
-		if serr != nil {
-			return
-		}
-
 		const nRows = 5
-		check := func(rows [][]value.Value) {
-			want, wantErrRow, wantErr := scalarRowResults(prog, rows)
-			// Interpreter vs scalar: error presence and values per row (the
-			// interpreter has no batch, so only rows the scalar scan reaches).
-			for r, row := range rows {
-				if wantErrRow >= 0 && r > wantErrRow {
-					break
-				}
-				iv, ierr := Eval(e, envFromLayout(layout, row))
-				if (ierr != nil) != (wantErrRow == r) {
-					t.Fatalf("%q row %d: interpreter err=%v, scalar err row=%d", src, r, ierr, wantErrRow)
-				}
-				if ierr == nil && (!value.Equal(iv, want[r]) || iv.Type() != want[r].Type()) {
-					t.Fatalf("%q row %d: interpreter=%v (%v), scalar=%v (%v)", src, r, iv, iv.Type(), want[r], want[r].Type())
-				}
-			}
-			// Typed batch vs the same reference (all chunkings + Filter).
-			typedCompare(t, src, layout, rows, want, wantErrRow, wantErr)
-		}
-
 		rows := make([][]value.Value, nRows)
 		for r := range rows {
-			rows[r] = fuzzRow(len(cols), seed+int64(r))
+			rows[r] = fuzzRow(layoutWidth(layout), seed+int64(r))
 		}
-		check(rows)
-		check(fuzzTypedRows(len(cols), nRows, seed))
+		typedCompare(t, src, layout, rows)
+		typedCompare(t, src, layout, fuzzTypedRows(layoutWidth(layout), nRows, seed))
 	})
+}
+
+// FuzzCompileDifferential is the row-at-a-time differential fuzzer: each
+// random row is evaluated alone, in a batch of one, and the typed program
+// must agree with the interpreter on its value and on error presence —
+// every row, including those a batch scan would never reach past an
+// earlier failure. It shares FuzzBatchDifferential's seeds.
+func FuzzCompileDifferential(f *testing.F) {
+	addFuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, src string, seed int64) {
+		layout, ok := fuzzLayout(src)
+		if !ok {
+			return
+		}
+		rows := make([][]value.Value, 4)
+		for r := range rows {
+			rows[r] = fuzzRow(layoutWidth(layout), seed+int64(r))
+		}
+		typedRowwise(t, src, layout, rows)
+	})
+}
+
+// fuzzRow derives a deterministic row of mixed-type values for the given
+// slot count from a seed.
+func fuzzRow(n int, seed int64) []value.Value {
+	rng := rand.New(rand.NewSource(seed))
+	row := make([]value.Value, n)
+	strs := []string{"", "GALAXY", "NGC 1275", "a%b_c", "O'Neill", "%", "_"}
+	for i := range row {
+		switch rng.Intn(7) {
+		case 0:
+			row[i] = value.Null
+		case 1:
+			row[i] = value.Int(rng.Int63n(2001) - 1000)
+		case 2:
+			row[i] = value.Int([]int64{0, 1, -1, math.MaxInt64, math.MinInt64}[rng.Intn(5)])
+		case 3:
+			row[i] = value.Float(rng.NormFloat64() * 100)
+		case 4:
+			row[i] = value.Float([]float64{0, -0.5, math.Inf(1), math.NaN(), 1e308}[rng.Intn(5)])
+		case 5:
+			row[i] = value.String(strs[rng.Intn(len(strs))])
+		default:
+			row[i] = value.Bool(rng.Intn(2) == 0)
+		}
+	}
+	return row
+}
+
+// parseExprCorpus loads the checked-in FuzzParseExpr corpus inputs so the
+// differential fuzzer starts from every expression shape the parser
+// fuzzing has already found interesting.
+func parseExprCorpus(f *testing.F) []string {
+	dir := filepath.Join("..", "sqlparse", "testdata", "fuzz", "FuzzParseExpr")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil
+	}
+	var out []string
+	for _, ent := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			continue
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			line = strings.TrimSpace(line)
+			if !strings.HasPrefix(line, "string(") || !strings.HasSuffix(line, ")") {
+				continue
+			}
+			if s, err := strconv.Unquote(line[len("string(") : len(line)-1]); err == nil {
+				out = append(out, s)
+			}
+		}
+	}
+	return out
 }
 
 // benchScanRows builds the 10k-row-style selective scan input: roughly 5%
@@ -684,52 +852,18 @@ func benchScanRows(n int) [][]value.Value {
 	return rows
 }
 
-// BenchmarkCompiledExprScan is the row-at-a-time engine over a 10k-row
-// selective scan: one EvalBool per row through the closure tree. This is
-// the baseline BenchmarkTypedBatchExpr is measured against (same rows,
-// same predicate, same per-op work).
-func BenchmarkCompiledExprScan(b *testing.B) {
-	e, err := sqlparse.ParseExpr(benchExpr)
-	if err != nil {
-		b.Fatal(err)
+// scanBatches splits scan rows into typed batches of DefaultBatchSize.
+func scanBatches(rows [][]value.Value) []*TBatch {
+	var batches []*TBatch
+	for off := 0; off < len(rows); off += DefaultBatchSize {
+		end := min(off+DefaultBatchSize, len(rows))
+		batches = append(batches, tbatchFromRows(7, DefaultBatchSize, rows[off:end]))
 	}
-	prog, err := Compile(e, stdLayout)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows := benchScanRows(10000)
-	want := 0
-	for _, row := range rows {
-		ok, err := prog.EvalBool(row)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if ok {
-			want++
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got := 0
-		for _, row := range rows {
-			ok, err := prog.EvalBool(row)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if ok {
-				got++
-			}
-		}
-		if got != want {
-			b.Fatalf("got %d, want %d", got, want)
-		}
-	}
+	return batches
 }
 
-// BenchmarkTypedBatchExpr is the typed engine over the same 10k-row
-// selective scan as BenchmarkCompiledExprScan (same rows, same predicate),
-// in batches of 1024 with a reused evaluator: native column vectors,
+// BenchmarkTypedBatchExpr is the typed engine over the 10k-row selective
+// scan, in batches of 1024 with a reused evaluator: native column vectors,
 // shrinking selection vectors through the conjunction, 0 allocs per batch
 // in steady state. This is the headline number the BENCH_scan.json
 // trajectory tracks.
@@ -743,16 +877,8 @@ func BenchmarkTypedBatchExpr(b *testing.B) {
 		b.Fatal(err)
 	}
 	rows := benchScanRows(10000)
-	const batchCap = 1024
-	var batches []*TBatch
-	for off := 0; off < len(rows); off += batchCap {
-		end := off + batchCap
-		if end > len(rows) {
-			end = len(rows)
-		}
-		batches = append(batches, tbatchFromRows(7, batchCap, rows[off:end]))
-	}
-	ev := prog.NewEval(batchCap)
+	batches := scanBatches(rows)
+	ev := prog.NewEval(DefaultBatchSize)
 	defer ev.Release()
 	want := 0
 	for _, bt := range batches {
@@ -779,5 +905,39 @@ func BenchmarkTypedBatchExpr(b *testing.B) {
 		if got != want {
 			b.Fatalf("got %d, want %d", got, want)
 		}
+	}
+}
+
+// BenchmarkTypedInBetween runs a typed Filter over the same 10k-row scan
+// for each of the IN, BETWEEN and COALESCE forms.
+func BenchmarkTypedInBetween(b *testing.B) {
+	batches := scanBatches(benchScanRows(10000))
+	for _, bc := range []struct{ name, src string }{
+		{"between", "O.dec BETWEEN -30 AND 30"},
+		{"str_in", "O.type IN ('GALAXY', 'QSO')"},
+		{"int_in", "n IN (1, 7, 11)"},
+		{"coalesce", "COALESCE(x, n) > 0"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			e, err := sqlparse.ParseExpr(bc.src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prog, err := CompileTyped(e, stdLayout)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ev := prog.NewEval(DefaultBatchSize)
+			defer ev.Release()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, bt := range batches {
+					if _, _, err := prog.Filter(ev, bt, ev.Seq(bt.Len())); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -88,7 +88,6 @@ func (s Schema) Names() []string {
 type column interface {
 	append(v value.Value) error
 	get(i int) value.Value
-	len() int
 }
 
 type intColumn struct {
@@ -117,8 +116,6 @@ func (c *intColumn) get(i int) value.Value {
 	return value.Int(c.vals[i])
 }
 
-func (c *intColumn) len() int { return len(c.vals) }
-
 type floatColumn struct {
 	vals  []float64
 	nulls []bool
@@ -146,8 +143,6 @@ func (c *floatColumn) get(i int) value.Value {
 	return value.Float(c.vals[i])
 }
 
-func (c *floatColumn) len() int { return len(c.vals) }
-
 type stringColumn struct {
 	vals  []string
 	nulls []bool
@@ -174,8 +169,6 @@ func (c *stringColumn) get(i int) value.Value {
 	return value.String(c.vals[i])
 }
 
-func (c *stringColumn) len() int { return len(c.vals) }
-
 type boolColumn struct {
 	vals  []bool
 	nulls []bool
@@ -201,8 +194,6 @@ func (c *boolColumn) get(i int) value.Value {
 	}
 	return value.Bool(c.vals[i])
 }
-
-func (c *boolColumn) len() int { return len(c.vals) }
 
 func newColumn(t value.Type) (column, error) {
 	switch t {

@@ -62,17 +62,18 @@
 // Every SQL expression the pipeline evaluates per row — storage scan
 // predicates and projections, the chain steps' local and cross-archive
 // predicates, and the Portal's final projection — is compiled once at
-// plan time (internal/eval.Compile): column references resolve to integer
-// slots of a tuple layout, function names and arities are checked,
-// constant subtrees fold, and constant LIKE patterns turn into
-// precompiled matchers. The resulting closure-tree program evaluates with
-// no maps, no string lookups, and no per-row allocation, so each worker's
-// inner loop costs slot reads plus the arithmetic itself. A consequence
+// plan time (internal/eval.CompileTyped): column references resolve to
+// integer slots of a tuple layout, function names and arities are
+// checked, constant subtrees fold, and constant LIKE patterns turn into
+// precompiled matchers. The resulting program evaluates batches of rows
+// over typed column vectors with no maps, no string lookups, and no
+// per-batch allocation in steady state, so each worker's inner loop costs
+// slice reads plus the arithmetic itself. A consequence
 // visible to clients: a bad predicate (unknown column, unknown function,
 // wrong arity) is reported when the plan or chain step is built, before
 // any data is scanned, instead of surfacing from the first row that
 // happens to reach it. The tree-walking interpreter (internal/eval.Eval)
-// remains the reference semantics; differential tests and a fuzz target
+// remains the reference semantics; differential tests and fuzz targets
 // hold the two paths to identical values and errors.
 package skyquery
 
