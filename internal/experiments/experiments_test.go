@@ -123,3 +123,26 @@ func atoi(t *testing.T, s string) int {
 	}
 	return n
 }
+
+// TestC3HTMRange asserts §5.4's claim that an HTM range search returns
+// exactly the rows a full scan finds. C3HTMRange itself fails unless the
+// two counts agree; the pinned counts run the cover walk through
+// SearchCap from 10″ to 45°.
+func TestC3HTMRange(t *testing.T) {
+	if testing.Short() {
+		t.Skip("200000-row scans")
+	}
+	tab, err := C3HTMRange()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"0", "0", "0", "17", "1582", "29098"}
+	if len(tab.Rows) != len(want) {
+		t.Fatalf("rows = %d, want %d\n%s", len(tab.Rows), len(want), tab)
+	}
+	for i, row := range tab.Rows {
+		if row[1] != want[i] {
+			t.Errorf("radius %s: %s rows in range, want %s\n%s", row[0], row[1], want[i], tab)
+		}
+	}
+}

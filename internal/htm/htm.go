@@ -20,6 +20,7 @@ package htm
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"skyquery/internal/sphere"
@@ -114,22 +115,11 @@ func (id ID) Level() int {
 	if id < 8 {
 		return -1
 	}
-	bits := 64 - leadingZeros(uint64(id))
-	if (bits-4)%2 != 0 {
+	n := 64 - bits.LeadingZeros64(uint64(id))
+	if (n-4)%2 != 0 {
 		return -1
 	}
-	return (bits - 4) / 2
-}
-
-func leadingZeros(x uint64) int {
-	n := 0
-	for i := 63; i >= 0; i-- {
-		if x&(1<<uint(i)) != 0 {
-			return n
-		}
-		n++
-	}
-	return 64
+	return (n - 4) / 2
 }
 
 // Valid reports whether id names a trixel.
@@ -314,6 +304,18 @@ func MergeRanges(rs []Range) []Range {
 // the cap is inner; a trixel that intersects the cap boundary is split
 // until subdivideLevel and then reported as partial; disjoint trixels are
 // dropped.
+//
+// A cross-match searches a cap of about an arc second per tuple, so almost
+// every trixel the walk meets is one of a partial parent's disjoint
+// children, and proving those disjoint is the cost. For caps under 90° the
+// walk first tries a separating-plane test: it drops a trixel without
+// classifying it when the cap lies strictly beyond the great circle of one
+// of its edges (see beyond). Per trixel the test needs no trigonometry and
+// no normalization, and the shared edges of a parent's four children are
+// tested once per parent. It only ever skips classify for a trixel that
+// classify would call disjoint, with margins that cover classify's own
+// rounding, so it never changes a classification: the cover is the one a
+// plain classify-every-trixel walk reports.
 func CoverCap(c sphere.Cap, subdivideLevel, leafLevel int) Cover {
 	if leafLevel > MaxLevel {
 		leafLevel = MaxLevel
@@ -324,29 +326,110 @@ func CoverCap(c sphere.Cap, subdivideLevel, leafLevel int) Cover {
 	if subdivideLevel < 0 {
 		subdivideLevel = 0
 	}
-	cov := Cover{Level: leafLevel}
-	for i := 0; i < 8; i++ {
-		coverRecurse(ID(8+i), rootTriangle(i), c, subdivideLevel, leafLevel, &cov)
+	w := coverWalk{c: c, sub: subdivideLevel, leaf: leafLevel, s2: math.Inf(1), cov: Cover{Level: leafLevel}}
+	if c.Radius < 90 {
+		sin := math.Sin(c.Radius * sphere.RadPerDeg)
+		s := math.Sqrt(sin*sin+cosSlack) + angleSlack
+		w.s2 = s * s
 	}
-	cov.Inner = MergeRanges(cov.Inner)
-	cov.Partial = MergeRanges(cov.Partial)
-	return cov
+	for i := 0; i < 8; i++ {
+		t := rootTriangle(i)
+		if w.beyond(t[0].Cross(t[1])) >= 0 && w.beyond(t[1].Cross(t[2])) >= 0 &&
+			w.beyond(t[2].Cross(t[0])) >= 0 {
+			w.visit(ID(8+i), 0, t)
+		}
+	}
+	w.cov.Inner = MergeRanges(w.cov.Inner)
+	w.cov.Partial = MergeRanges(w.cov.Partial)
+	return w.cov
 }
 
-func coverRecurse(id ID, t Triangle, c sphere.Cap, subdivideLevel, leafLevel int, cov *Cover) {
-	switch classify(t, c) {
+// Margins of the separating-plane test. With s the cap's sine threshold
+// and n an edge normal, the test drops a trixel only when the cap centre p
+// has n·p < -(planeSlack + s·|n|). Each margin covers one of classify's
+// float64 roundings, so a dropped trixel is one classify calls disjoint:
+//   - planeSlack (absolute, on n·p) exceeds Contains' containsEps, so the
+//     centre fails the same edge's sign test; it also covers the rounding
+//     of a×b, which leaves the edge's own vertices up to ~3e-16 off the
+//     plane, and the projections distToArc makes onto the other edges.
+//   - cosSlack (on sin²r) covers the vertex test p·v >= cos r. Near 1 a
+//     dot product resolves angles only to ~1e-15/sin r, so a vertex a hair
+//     outside a small cap can test inside. With the slack, a dropped
+//     trixel's vertices all lie at an angle from p whose cosine is at
+//     least 2e-15 below cos r.
+//   - angleSlack (on s) covers the rounding of n·p, of distToArc's
+//     separations and of the degree conversion.
+const (
+	planeSlack = 1e-13
+	cosSlack   = 4e-15
+	angleSlack = 1e-14
+)
+
+// coverWalk is one CoverCap call's recursion state.
+type coverWalk struct {
+	c         sphere.Cap
+	s2        float64 // squared sine threshold; +Inf disables the plane test
+	sub, leaf int
+	cov       Cover
+}
+
+// beyond reports on which side of the plane with (unnormalized) normal n
+// the whole cap lies strictly: -1 beyond the negative side, +1 beyond the
+// positive side, 0 if the test cannot tell. A trixel whose vertices run
+// counter-clockwise lies on the positive side of each edge normal a×b, so
+// -1 for one of them proves the trixel disjoint from the cap.
+func (w *coverWalk) beyond(n sphere.Vec) int {
+	d := n.Dot(w.c.Center)
+	e := math.Abs(d) - planeSlack
+	if e <= 0 || e*e <= w.s2*n.Dot(n) {
+		return 0
+	}
+	if d < 0 {
+		return -1
+	}
+	return 1
+}
+
+func (w *coverWalk) visit(id ID, level int, t Triangle) {
+	switch classify(t, w.c) {
 	case disjoint:
 		return
 	case inside:
-		cov.Inner = append(cov.Inner, id.AtLevel(leafLevel))
+		w.cov.Inner = append(w.cov.Inner, id.AtLevel(w.leaf))
 	case partial:
-		if id.Level() >= subdivideLevel {
-			cov.Partial = append(cov.Partial, id.AtLevel(leafLevel))
+		if level >= w.sub {
+			w.cov.Partial = append(w.cov.Partial, id.AtLevel(w.leaf))
 			return
 		}
-		for k := 0; k < 4; k++ {
-			coverRecurse(id.Child(k), t.child(k), c, subdivideLevel, leafLevel, cov)
-		}
+		w.children(id, level, t)
+	}
+}
+
+// children visits the four children of a partial trixel, building them as
+// Triangle.child does from midpoints computed once. A child's outer edges
+// lie on great circles its ancestors were already tested against, so only
+// the three inner edges are tested: each corner child owns one of them,
+// reversed, and the middle child owns all three.
+func (w *coverWalk) children(id ID, level int, t Triangle) {
+	w0 := t[1].Add(t[2]).Normalize()
+	w1 := t[0].Add(t[2]).Normalize()
+	w2 := t[0].Add(t[1]).Normalize()
+	// b×a is exactly -(a×b) in IEEE arithmetic, so beyond(w1×w2) > 0 is
+	// the test child 0 would make on its edge w2×w1, and so on.
+	s01 := w.beyond(w0.Cross(w1))
+	s12 := w.beyond(w1.Cross(w2))
+	s20 := w.beyond(w2.Cross(w0))
+	if s12 <= 0 {
+		w.visit(id.Child(0), level+1, Triangle{t[0], w2, w1})
+	}
+	if s20 <= 0 {
+		w.visit(id.Child(1), level+1, Triangle{t[1], w0, w2})
+	}
+	if s01 <= 0 {
+		w.visit(id.Child(2), level+1, Triangle{t[2], w1, w0})
+	}
+	if s01 >= 0 && s12 >= 0 && s20 >= 0 {
+		w.visit(id.Child(3), level+1, Triangle{w0, w1, w2})
 	}
 }
 
@@ -434,16 +517,18 @@ func distToArc(p, a, b sphere.Vec) float64 {
 // TrixelSize returns the approximate angular side length in degrees of a
 // trixel at the given level (the root edge is 90° and each level halves it).
 func TrixelSize(level int) float64 {
-	return 90 / math.Pow(2, float64(level))
+	return math.Ldexp(90, -level)
 }
 
 // LevelForRadius returns a subdivision level whose trixels are commensurate
 // with a search radius: fine enough that partial trixels do not dominate,
 // coarse enough that the cover stays short.
 func LevelForRadius(radiusDeg float64) int {
-	level := 0
-	for TrixelSize(level) > radiusDeg && level < MaxLevel {
+	// Halving is exact, so size stays equal to TrixelSize(level).
+	level, size := 0, TrixelSize(0)
+	for size > radiusDeg && level < MaxLevel {
 		level++
+		size /= 2
 	}
 	// One extra level tightens the cover boundary considerably.
 	if level < MaxLevel {

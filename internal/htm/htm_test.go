@@ -367,6 +367,21 @@ func TestLevelForRadius(t *testing.T) {
 	if got := LevelForRadius(0); got != MaxLevel {
 		t.Errorf("LevelForRadius(0) = %d, want MaxLevel", got)
 	}
+	// The first level whose trixels are no larger than the radius, plus one.
+	for l := 0; l <= MaxLevel; l++ {
+		for _, r := range []float64{TrixelSize(l), math.Nextafter(TrixelSize(l), 0), math.Nextafter(TrixelSize(l), 100)} {
+			want := 0
+			for TrixelSize(want) > r && want < MaxLevel {
+				want++
+			}
+			if want < MaxLevel {
+				want++
+			}
+			if got := LevelForRadius(r); got != want {
+				t.Errorf("LevelForRadius(%v) = %d, want %d", r, got, want)
+			}
+		}
+	}
 }
 
 func TestDistToArc(t *testing.T) {
@@ -397,5 +412,10 @@ func TestTrixelSize(t *testing.T) {
 	}
 	if TrixelSize(1) != 45 {
 		t.Errorf("TrixelSize(1) = %v", TrixelSize(1))
+	}
+	for l := -3; l <= 64; l++ {
+		if got, want := TrixelSize(l), 90/math.Pow(2, float64(l)); got != want {
+			t.Errorf("TrixelSize(%d) = %v, want %v", l, got, want)
+		}
 	}
 }
