@@ -71,9 +71,9 @@ func TestDropOutVetoBeatsError(t *testing.T) {
 			}
 			if matches[k] {
 				outcome = "veto"
-				// Both land in one batch whenever the batch holds at least
-				// the adaptive sizer's hard floor of candidates.
-				for j := k + 1; j < len(errs) && j < eval.MinLearnedFloor; j++ {
+				// Count an erroring candidate that shares the veto's batch
+				// at batch 3, the smallest size where both can meet.
+				for j := k + 1; j < len(errs) && j/3 == k/3; j++ {
 					if errs[j] {
 						vetoThenError++
 						break

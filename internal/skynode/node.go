@@ -32,9 +32,7 @@
 // off; SetCandPrune exists only so benchmarks can measure the difference.
 // The surviving candidates flow through the pre-gather prune -> typed
 // gather -> chi2 gate -> residual-program pipeline in unchanged search
-// order, in batches whose flush threshold a per-step eval.BatchSizer
-// adapts to observed selectivity (drop-out steps that veto early shrink
-// their batches; steps draining full useful batches grow back).
+// order, in batches of at most eval.BatchSize() candidates.
 //
 // Two storage counters prove the work was skipped end to end:
 // storage.CandBlocksPruned (zone blocks proven dead below a search) and
@@ -46,11 +44,9 @@ package skynode
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"skyquery/internal/dataset"
-	"skyquery/internal/eval"
 	"skyquery/internal/soap"
 	"skyquery/internal/storage"
 	"skyquery/internal/wsdl"
@@ -131,12 +127,6 @@ type Node struct {
 	server *soap.Server
 	chunks soap.ChunkStore
 	gate   *Gate
-
-	// traces holds per-table batch-utilization history: each chain step's
-	// adaptive sizer learns its floor from the table's recorded trace and
-	// records its own observations back for the next query.
-	traceMu sync.Mutex
-	traces  map[string]*eval.BatchTrace
 
 	// queriesServed counts Query service calls (cache-warming metric).
 	queriesServed atomic.Int64
@@ -228,25 +218,6 @@ func (n *Node) AdmissionStats() GateStats { return n.gate.Stats() }
 // cancelled consumer must release these promptly, not leak them to the
 // TTL sweep).
 func (n *Node) ChunkPending() int { return n.chunks.Pending() }
-
-// batchTrace returns the node's recorded batch-utilization trace for
-// the table, creating an empty one on first use. Chain steps build
-// their adaptive sizers from it, so a table whose history shows
-// drop-out-heavy batches starts the next query with a learned floor
-// below the MinAdaptiveBatch default.
-func (n *Node) batchTrace(table string) *eval.BatchTrace {
-	n.traceMu.Lock()
-	defer n.traceMu.Unlock()
-	if n.traces == nil {
-		n.traces = map[string]*eval.BatchTrace{}
-	}
-	tr := n.traces[table]
-	if tr == nil {
-		tr = &eval.BatchTrace{}
-		n.traces[table] = tr
-	}
-	return tr
-}
 
 // admit funnels one step execution through the admission gate,
 // converting a shed into the retryable Overloaded SOAP fault.

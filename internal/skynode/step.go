@@ -381,13 +381,6 @@ func (n *Node) newCapJoinRunner(p *plan.Plan, table *storage.Table, step plan.St
 		)
 		pruner = table.CandPruner(ps)
 	}
-	// Adaptive batching: the step's flush threshold follows the local
-	// predicate's observed selectivity, so a step whose full batches are
-	// mostly discarded stops gathering and broadcasting full-width ones.
-	// Drop-out steps profit most: a veto usually arrives early in a batch
-	// and everything gathered past it was wasted work. The floor comes from
-	// the table's recorded utilization history.
-	sizer := eval.NewBatchSizerFromTrace(n.batchTrace(step.Table))
 	accept := func(_ int, pos sphere.Vec) bool {
 		// Every observation in the result must lie in the query AREA.
 		return area.Contains(pos)
@@ -445,9 +438,8 @@ func (n *Node) newCapJoinRunner(p *plan.Plan, table *storage.Table, step plan.St
 	// the tuple's candidate blocks from the pruned batch search in search
 	// order, and the per-tuple outputs are merged in input order, so the
 	// result is identical to the sequential, row-at-a-time scan's. One run
-	// call handles one batch of tuples; the scratch free-list and the
-	// adaptive sizer persist across calls, so a streamed step warms up
-	// once, not per page.
+	// call handles one batch of tuples; the scratch free-list persists
+	// across calls, so a streamed step warms up once, not per page.
 	run := func(rows [][]value.Value) ([][]value.Value, error) {
 		return forEachOrdered(len(rows), n.parallelism(p.Parallelism), func(tRow int) ([][]value.Value, error) {
 			row := rows[tRow]
@@ -491,7 +483,6 @@ func (n *Node) newCapJoinRunner(p *plan.Plan, table *storage.Table, step plan.St
 					for _, i := range sel {
 						if acc.Add(poss[i], step.SigmaArcsec).Matches(p.Threshold) {
 							out = nil
-							sizer.Observe(cn, i+1)
 							return false
 						}
 					}
@@ -499,14 +490,12 @@ func (n *Node) newCapJoinRunner(p *plan.Plan, table *storage.Table, step plan.St
 						stepErr = err
 						return false
 					}
-					sizer.Observe(cn, cn)
 					return true
 				}
 				if err != nil {
 					stepErr = err
 					return false
 				}
-				sizer.Observe(cn, len(sel))
 				// The chi-square gate sits between the local and the cross
 				// predicates, as in the row-at-a-time loop.
 				gate := sc.gate[:0]
@@ -538,7 +527,6 @@ func (n *Node) newCapJoinRunner(p *plan.Plan, table *storage.Table, step plan.St
 				return true
 			}
 			searchCap := sphere.CapAround(acc.Best(), radius)
-			sc.sb.Limit = sizer.Size()
 			if err := table.SearchCapBatch(searchCap, &sc.sb, process); err != nil {
 				return nil, err
 			}

@@ -178,3 +178,38 @@ func BenchmarkLocalStep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDropOutStep times a drop-out step on the σ = 5" fixture: each
+// seed tuple searches SDSS until its first candidate that passes the veto
+// predicate and the chi-square gate. The predicate keeps one object in
+// eight, so most tuples are vetoed after a short search and the rest
+// drain their whole cap.
+func BenchmarkDropOutStep(b *testing.B) {
+	nodes := benchChainNodes(b)
+	p := benchChainPlan()
+	p.Steps[0].DropOut = true
+	p.Steps[0].Columns = nil
+	p.Steps[0].LocalWhere = "O.object_id % 8 = 0"
+	seed, err := nodes[1].localStep(p, p.Steps[1], nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Logf("seed tuples: %d", seed.NumRows())
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+			p2 := *p
+			p2.Parallelism = workers
+			var kept int
+			for i := 0; i < b.N; i++ {
+				out, err := nodes[0].localStep(&p2, p2.Steps[0], seed)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if kept = out.NumRows(); kept == 0 || kept >= seed.NumRows() {
+					b.Fatalf("%d of %d tuples survived, want some vetoed and some kept", kept, seed.NumRows())
+				}
+			}
+			b.ReportMetric(float64(kept), "kept")
+		})
+	}
+}

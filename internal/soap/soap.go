@@ -454,34 +454,6 @@ func (c *Client) sleepBackoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// CallStream POSTs req like Call but asks for an incrementally
-// consumable response. When the server answers columnar, the raw body is
-// returned for frame-by-frame decoding — the caller owns closing it, and
-// the client's MessageLimit does not apply to it (the codec's per-frame
-// caps bound allocations instead, which is the point: the whole body
-// never sits in memory at once). When the server answers XML — the
-// fallback — the envelope is decoded into resp exactly as Call would and
-// the returned reader is nil. Overload sheds retry as in Call; they can
-// only happen before the server commits to streaming.
-func (c *Client) CallStream(ctx context.Context, url, action string, req, resp interface{}) (io.ReadCloser, error) {
-	payload, err := Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(payload)) > c.limit() {
-		return nil, &ErrMessageTooLarge{Size: int64(len(payload)), Limit: c.limit()}
-	}
-	for attempt := 0; ; attempt++ {
-		body, err := c.callStreamHdr(ctx, url, action, payload, resp, false)
-		if !IsOverloaded(err) || attempt >= c.MaxRetries {
-			return body, err
-		}
-		if err := c.sleepBackoff(ctx, attempt); err != nil {
-			return nil, err
-		}
-	}
-}
-
 // callStreamHdr performs one HTTP exchange of an already-marshalled
 // request, handing back the raw body when the server streams columnar
 // frames. stream additionally asks the server to produce pages

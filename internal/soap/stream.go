@@ -189,8 +189,16 @@ func OpenStream(ctx context.Context, c *Client, url, action string, req interfac
 	return &PageStream{c: c, ctx: ctx, url: url, cols: cols, body: body, dec: dec, follow: follow}, nil
 }
 
-// callForStream is CallStream plus the header that tells a streaming-
-// capable server to produce pages instead of parking tail chunks.
+// callForStream POSTs req like Call but asks for an incrementally
+// consumable response, with the header that tells a streaming-capable
+// server to produce pages instead of parking tail chunks. When the server
+// answers columnar, the raw body is returned for frame-by-frame decoding
+// — the caller owns closing it, and the client's MessageLimit does not
+// apply to it (the codec's per-frame caps bound allocations instead).
+// When the server answers XML — the fallback — the envelope is decoded
+// into resp exactly as Call would and the returned reader is nil.
+// Overload sheds retry as in Call; they can only happen before the
+// server commits to streaming.
 func (c *Client) callForStream(ctx context.Context, url, action string, req, resp interface{}) (io.ReadCloser, error) {
 	payload, err := Marshal(req)
 	if err != nil {

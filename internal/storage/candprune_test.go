@@ -48,7 +48,7 @@ func TestSearchCapBatchMatchesPerRow(t *testing.T) {
 	}
 
 	for _, limit := range []int{1, 7, 1024} {
-		sb := &SearchBatch{Rows: make([]int, 0, 1024), Pos: make([]sphere.Vec, 0, 1024), Limit: limit}
+		sb := &SearchBatch{Rows: make([]int, 0, limit), Pos: make([]sphere.Vec, 0, limit)}
 		var gotRows []int
 		var gotPos []sphere.Vec
 		batches := 0
@@ -78,7 +78,7 @@ func TestSearchCapBatchMatchesPerRow(t *testing.T) {
 	}
 
 	// fn returning false stops the search: exactly one batch arrives.
-	sb := &SearchBatch{Rows: make([]int, 0, 8), Limit: 8}
+	sb := &SearchBatch{Rows: make([]int, 0, 8)}
 	calls := 0
 	if err := tab.SearchCapBatch(c, sb, func([]int, []sphere.Vec) bool {
 		calls++

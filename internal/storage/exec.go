@@ -425,7 +425,7 @@ func (t *Table) Select(alias string, q *sqlparse.Query, region sphere.Region) (*
 		if t.HasSpatial() {
 			// The batch search prunes candidates from dead zone blocks
 			// below the HTM walk, so they never reach flushGather.
-			sb := &SearchBatch{Rows: sc.rowIdx, Limit: bs, Prune: t.CandPruner(ps)}
+			sb := &SearchBatch{Rows: sc.rowIdx, Prune: t.CandPruner(ps)}
 			if err := t.SearchRegionBatch(region, sb, flushGather); err != nil {
 				return nil, err
 			}

@@ -672,16 +672,12 @@ func (t *Table) SearchRegionPos(reg sphere.Region, fn func(row int, pos sphere.V
 // yield candidate row blocks instead of per-row callbacks.
 type SearchBatch struct {
 	// Rows and Pos are the caller-owned candidate buffers; the capacity of
-	// Rows bounds the batch size. The search appends into them and hands
-	// the filled prefixes to the callback. Pos may be nil when the caller
-	// does not need candidate positions.
+	// Rows bounds the batch size: a batch is emitted once it holds
+	// cap(Rows) candidates (the final batch may be smaller). The search
+	// appends into them and hands the filled prefixes to the callback. Pos
+	// may be nil when the caller does not need candidate positions.
 	Rows []int
 	Pos  []sphere.Vec
-	// Limit is the flush threshold: a batch is emitted once it holds this
-	// many candidates (the final batch may be smaller). 0 or anything
-	// beyond cap(Rows) clamps to cap(Rows). Adaptive sites re-read their
-	// eval.BatchSizer into Limit before each search.
-	Limit int
 	// Prune, when set, drops candidates whose zone block it proves dead —
 	// before the candidate's position is computed, before any containment
 	// test, and before the candidate can enter a batch.
@@ -692,16 +688,13 @@ type SearchBatch struct {
 }
 
 // SearchCapBatch is SearchCapPos yielding candidate row blocks: fn
-// receives batches of up to the configured limit, in search order, with
+// receives batches of up to cap(sb.Rows) candidates, in search order, with
 // zone-pruned candidates already removed (see SearchBatch). The slices
 // passed to fn alias the SearchBatch buffers and are only valid during
 // the call; fn returning false stops the search (no final flush).
 func (t *Table) SearchCapBatch(c sphere.Cap, sb *SearchBatch, fn func(rows []int, pos []sphere.Vec) bool) error {
-	limit := sb.Limit
-	if cp := cap(sb.Rows); limit <= 0 || limit > cp {
-		limit = cp
-	}
-	if limit <= 0 {
+	limit := cap(sb.Rows)
+	if limit == 0 {
 		return fmt.Errorf("storage: batch search on %q needs a row buffer with capacity", t.name)
 	}
 	sb.Rows = sb.Rows[:0]
