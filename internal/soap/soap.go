@@ -6,15 +6,22 @@
 // while parsing SOAP messages of about 10 MB". Callers avoid the limit the
 // same way the paper did: by chunking large data sets (see
 // internal/dataset.Split and the chunked transfer helpers here).
+//
+// An XML message is decoded in one streaming pass: the envelope is read
+// up to the body's first element, which is decoded in place into the
+// caller's type (Unmarshal on the client, Request.Decode on the server),
+// and then the rest of the envelope is read.
 package soap
 
 import (
 	"bytes"
 	"context"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -84,15 +91,6 @@ type bodyEncode struct {
 	Payload interface{}
 }
 
-// decodeEnvelope is the decode-side wire structure; the body is captured
-// raw so the payload type can be chosen after fault inspection.
-type decodeEnvelope struct {
-	XMLName xml.Name `xml:"Envelope"`
-	Body    struct {
-		Inner []byte `xml:",innerxml"`
-	} `xml:"Body"`
-}
-
 // Marshal wraps a payload in a SOAP envelope.
 func Marshal(payload interface{}) ([]byte, error) {
 	var buf bytes.Buffer
@@ -104,51 +102,151 @@ func Marshal(payload interface{}) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Unmarshal extracts the body payload of a SOAP envelope into out. If the
-// body carries a fault, it is returned as a *Fault error. out may be nil
-// for empty responses.
+// Unmarshal extracts the body payload of a SOAP envelope into out,
+// decoding it in place in one pass over data. If the body carries a
+// fault, it is returned as a *Fault error. out may be nil for empty
+// responses. An envelope with more than one Body is malformed.
 func Unmarshal(data []byte, out interface{}) error {
-	var env decodeEnvelope
-	if err := xml.Unmarshal(data, &env); err != nil {
+	env, err := openEnvelope(data)
+	if err != nil {
 		return fmt.Errorf("soap: bad envelope: %w", err)
 	}
-	inner := bytes.TrimSpace(env.Body.Inner)
-	if isFault(inner) {
+	if env.payload == nil {
+		if out != nil && env.bodyText {
+			return fmt.Errorf("soap: bad body: %w", io.EOF)
+		}
+		return nil
+	}
+	if env.payload.Name.Local == "Fault" {
 		var f Fault
-		if err := xml.Unmarshal(inner, &f); err != nil {
-			return fmt.Errorf("soap: bad fault: %w", err)
+		if err := env.decode(&f); err != nil {
+			return decodeError("fault", err)
 		}
 		return &f
 	}
-	if out == nil || len(inner) == 0 {
-		return nil
-	}
-	if err := xml.Unmarshal(inner, out); err != nil {
-		return fmt.Errorf("soap: bad body: %w", err)
+	if err := env.decode(out); err != nil {
+		return decodeError("body", err)
 	}
 	return nil
 }
 
-// isFault sniffs whether the body's first element is a SOAP fault.
-func isFault(inner []byte) bool {
-	dec := xml.NewDecoder(bytes.NewReader(inner))
+// decodeError labels a failed payload decode: a syntax error is a
+// malformed envelope, anything else a payload that does not fit its type.
+func decodeError(what string, err error) error {
+	if isSyntaxError(err) {
+		return fmt.Errorf("soap: bad envelope: %w", err)
+	}
+	return fmt.Errorf("soap: bad %s: %w", what, err)
+}
+
+func isSyntaxError(err error) bool {
+	var se *xml.SyntaxError
+	return errors.As(err, &se)
+}
+
+// errTwoBodiesMsg is the syntax error of an envelope with a second Body.
+const errTwoBodiesMsg = "soap: envelope has more than one Body"
+
+// envelopeReader decodes an XML SOAP envelope in one streaming pass.
+// openEnvelope reads up to the body's first element, the payload, and
+// stops there; decode then decodes the payload in place and reads on to
+// </Envelope>, so every token of the message is read once. Like
+// xml.Unmarshal, it matches Envelope and Body by local name, skips any
+// other child of Envelope (a Header), and ignores bytes after
+// </Envelope>.
+type envelopeReader struct {
+	dec *xml.Decoder
+	// payload is the body's first element, nil when the body has none.
+	payload *xml.StartElement
+	// bodyText reports, when payload is nil, that the body held more
+	// than whitespace: text, a comment or a processing instruction. It
+	// is judged on the body's raw bytes (data from bodyOffset on), since
+	// a CDATA section or character reference that decodes to whitespace
+	// is a token indistinguishable from plain whitespace.
+	bodyText bool
+
+	data       []byte
+	depth      int // 1 inside Envelope, 2 inside Body
+	sawBody    bool
+	bodyOffset int64
+}
+
+// openEnvelope positions a reader over data at the body's payload. A
+// message with no payload is read to </Envelope>.
+func openEnvelope(data []byte) (*envelopeReader, error) {
+	e := &envelopeReader{dec: xml.NewDecoder(bytes.NewReader(data)), data: data}
+	if err := e.next(); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// next reads on to the body's first element, when none has been found
+// yet, or else to </Envelope>, skipping every other element.
+func (e *envelopeReader) next() error {
 	for {
-		tok, err := dec.Token()
+		off := e.dec.InputOffset()
+		tok, err := e.dec.Token()
 		if err != nil {
-			return false
+			return err
 		}
-		if se, ok := tok.(xml.StartElement); ok {
-			return se.Name.Local == "Fault"
+		switch t := tok.(type) {
+		case xml.StartElement:
+			switch {
+			case e.depth == 0:
+				if t.Name.Local != "Envelope" {
+					return fmt.Errorf("expected element type <Envelope> but have <%s>", t.Name.Local)
+				}
+				e.depth = 1
+			case e.depth == 2 && e.payload == nil:
+				e.payload = &t
+				return nil
+			case e.depth == 1 && t.Name.Local == "Body":
+				if e.sawBody {
+					line, _ := e.dec.InputPos()
+					return &xml.SyntaxError{Msg: errTwoBodiesMsg, Line: line}
+				}
+				e.sawBody = true
+				e.depth = 2
+				e.bodyOffset = e.dec.InputOffset()
+			default:
+				if err := e.dec.Skip(); err != nil {
+					return err
+				}
+			}
+		case xml.EndElement:
+			if e.depth == 2 && e.payload == nil {
+				e.bodyText = len(bytes.TrimSpace(e.data[e.bodyOffset:off])) > 0
+			}
+			if e.depth--; e.depth == 0 {
+				return nil
+			}
 		}
 	}
 }
 
-// Handler processes one SOAP operation: it decodes its typed request from
-// the raw body XML and returns a payload to ship back (or an error, which
+// decode decodes the payload into out, or skips it when out is nil, and
+// then reads the rest of the envelope.
+func (e *envelopeReader) decode(out interface{}) error {
+	var err error
+	if out == nil {
+		err = e.dec.Skip()
+	} else {
+		err = e.dec.DecodeElement(out, e.payload)
+	}
+	if err != nil {
+		return err
+	}
+	return e.next()
+}
+
+// Handler processes one SOAP operation: it decodes its typed request with
+// Request.Decode and returns a payload to ship back (or an error, which
 // becomes a fault).
 type Handler func(r *Request) (interface{}, error)
 
-// Request carries the decoded-envelope body and HTTP metadata to handlers.
+// Request carries the request envelope, read up to its payload, and HTTP
+// metadata to handlers.
 type Request struct {
 	// Action is the SOAPAction header value, unquoted.
 	Action string
@@ -163,7 +261,7 @@ type Request struct {
 	// downstream calls so federated work aborts end to end.
 	Ctx         context.Context
 	wantsStream bool
-	body        []byte
+	env         *envelopeReader
 }
 
 // Context returns the request's context, or context.Background for
@@ -175,9 +273,24 @@ func (r *Request) Context() context.Context {
 	return context.Background()
 }
 
-// Decode unmarshals the request payload into the given struct.
+// Decode decodes the request payload into the given struct, in place off
+// the envelope stream, and reads the rest of the envelope. It may be
+// called once. A syntax error it meets in or after the payload is
+// returned as the soap:Client "bad envelope" *Fault that ServeHTTP sends
+// for a malformed envelope prefix.
 func (r *Request) Decode(into interface{}) error {
-	if err := xml.Unmarshal(r.body, into); err != nil {
+	env := r.env
+	if env == nil {
+		return fmt.Errorf("soap: request for %q has no payload left to decode", r.Action)
+	}
+	r.env = nil
+	if env.payload == nil {
+		return fmt.Errorf("soap: decode request for %q: %w", r.Action, io.EOF)
+	}
+	if err := env.decode(into); err != nil {
+		if isSyntaxError(err) {
+			return &Fault{Code: "soap:Client", String: "bad envelope: " + err.Error()}
+		}
 		return fmt.Errorf("soap: decode request for %q: %w", r.Action, err)
 	}
 	return nil
@@ -262,7 +375,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 
 	limit := s.limit()
-	data, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
+	data, err := readBody(r.Body, r.ContentLength, limit)
 	if err != nil {
 		s.writeFault(w, &Fault{Code: "soap:Server", String: "read error: " + err.Error()})
 		return
@@ -275,8 +388,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var env decodeEnvelope
-	if err := xml.Unmarshal(data, &env); err != nil {
+	env, err := openEnvelope(data)
+	if err != nil {
 		s.writeFault(w, &Fault{Code: "soap:Client", String: "bad envelope: " + err.Error()})
 		return
 	}
@@ -287,7 +400,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		AcceptsColumnar: wantsColumnar,
 		Ctx:             r.Context(),
 		wantsStream:     r.Header.Get(streamHeader) != "",
-		body:            bytes.TrimSpace(env.Body.Inner),
+		env:             env,
 	})
 	if err != nil {
 		if f, ok := err.(*Fault); ok {
@@ -313,8 +426,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				s.writeFault(w, &Fault{Code: "soap:Server", String: "encode response: " + err.Error()})
 				return
 			}
-			w.Header().Set("Content-Type", ContentTypeColumnar)
-			w.Write(buf.Bytes())
+			writeBuffered(w, ContentTypeColumnar, http.StatusOK, buf.Bytes())
 			return
 		}
 	}
@@ -323,8 +435,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.writeFault(w, &Fault{Code: "soap:Server", String: "marshal response: " + err.Error()})
 		return
 	}
-	w.Header().Set("Content-Type", contentTypeXML)
-	w.Write(out)
+	writeBuffered(w, contentTypeXML, http.StatusOK, out)
 }
 
 func (s *Server) writeFault(w http.ResponseWriter, f *Fault) {
@@ -333,14 +444,39 @@ func (s *Server) writeFault(w http.ResponseWriter, f *Fault) {
 		http.Error(w, f.String, http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", contentTypeXML)
 	status := http.StatusInternalServerError
 	if f.Detail == FaultDetailOverloaded {
 		// The 429/503 analogue: the work was refused, not attempted.
 		status = http.StatusServiceUnavailable
 	}
+	writeBuffered(w, contentTypeXML, status, out)
+}
+
+// writeBuffered sends a reply that is already whole in memory, with its
+// Content-Length so the receiver can size its read buffer once.
+func writeBuffered(w http.ResponseWriter, contentType string, status int, body []byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	w.Write(out)
+	w.Write(body)
+}
+
+// maxPresize bounds how much of a declared Content-Length readBody
+// allocates before the bytes arrive: a peer can declare any length, and
+// a longer body grows the buffer only as it comes in.
+const maxPresize = 1 << 20
+
+// readBody reads a message of at most limit bytes from r; it reads one
+// byte past the limit so callers can tell an oversized message. A
+// declared length within the limit sizes the buffer up front, up to
+// maxPresize.
+func readBody(r io.Reader, length, limit int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if length >= 0 && length <= limit {
+		buf.Grow(int(min(length, maxPresize)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(io.LimitReader(r, limit+1))
+	return buf.Bytes(), err
 }
 
 // Client issues SOAP calls.
@@ -480,7 +616,7 @@ func (c *Client) callStreamHdr(ctx context.Context, url, action string, payload 
 	}
 	defer httpResp.Body.Close()
 	limit := c.limit()
-	data, err := io.ReadAll(io.LimitReader(httpResp.Body, limit+1))
+	data, err := readBody(httpResp.Body, httpResp.ContentLength, limit)
 	if err != nil {
 		return nil, fmt.Errorf("soap: read response: %w", err)
 	}
@@ -508,7 +644,7 @@ func (c *Client) call(ctx context.Context, url, action string, payload []byte, r
 	}
 	defer httpResp.Body.Close()
 	limit := c.limit()
-	data, err := io.ReadAll(io.LimitReader(httpResp.Body, limit+1))
+	data, err := readBody(httpResp.Body, httpResp.ContentLength, limit)
 	if err != nil {
 		return fmt.Errorf("soap: read response: %w", err)
 	}

@@ -1,6 +1,7 @@
 package soap
 
 import (
+	"bytes"
 	"context"
 	"encoding/xml"
 	"errors"
@@ -199,6 +200,58 @@ func TestClientResponseLimit(t *testing.T) {
 	if tooBig.Limit != 256 {
 		t.Errorf("limit = %d", tooBig.Limit)
 	}
+}
+
+// hugeLength is a Content-Length no peer will send; the bodies below
+// stop a few bytes in.
+const hugeLength = 1 << 40
+
+// TestUnlimitedReadsIgnoreDeclaredLength checks that, with no message
+// limit, a Content-Length declared far beyond the bytes sent gets an
+// error or a fault on both ends, and is not allocated up front.
+func TestUnlimitedReadsIgnoreDeclaredLength(t *testing.T) {
+	t.Run("server", func(t *testing.T) {
+		s := NewServer()
+		s.MessageLimit = -1
+		ran := false
+		s.Handle("urn:test:Echo", func(r *Request) (interface{}, error) { ran = true; return nil, nil })
+		req := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(testEnvOpen+"<soap:Bo"))
+		req.Header.Set("SOAPAction", `"urn:test:Echo"`)
+		req.ContentLength = hugeLength
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		var f *Fault
+		if err := Unmarshal(rec.Body.Bytes(), nil); !errors.As(err, &f) {
+			t.Fatalf("want a fault, got %v (status %d)", err, rec.Code)
+		}
+		if ran {
+			t.Error("handler ran on a truncated request")
+		}
+	})
+
+	// The reply claims hugeLength bytes, sends a few, and hangs up.
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, rw, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		fmt.Fprintf(rw, "HTTP/1.1 200 OK\r\nContent-Type: text/xml\r\nContent-Length: %d\r\n\r\n%s", int64(hugeLength), testEnvOpen)
+		rw.Flush()
+	}))
+	defer ts.Close()
+	c := &Client{MessageLimit: -1}
+	t.Run("client call", func(t *testing.T) {
+		if err := c.Call(context.Background(), ts.URL, "urn:test:Echo", &echoRequest{}, &echoResponse{}); err == nil {
+			t.Fatal("want an error, got nil")
+		}
+	})
+	t.Run("client stream", func(t *testing.T) {
+		if _, err := OpenStream(context.Background(), c, ts.URL, "urn:test:Echo", &echoRequest{}); err == nil {
+			t.Fatal("want an error, got nil")
+		}
+	})
 }
 
 func TestGoAsync(t *testing.T) {
@@ -434,3 +487,462 @@ func TestHandlerPanicsAreNotSwallowed(t *testing.T) {
 }
 
 var _ fmt.Stringer // keep fmt imported for future use
+
+// The reference decoder: the two-pass Unmarshal the one-pass envelope
+// walk replaced, kept verbatim (helpers renamed) so tests and
+// FuzzUnmarshalEnvelope can compare against it.
+
+type decodeEnvelopeRef struct {
+	XMLName xml.Name `xml:"Envelope"`
+	Body    struct {
+		Inner []byte `xml:",innerxml"`
+	} `xml:"Body"`
+}
+
+func unmarshalRef(data []byte, out interface{}) error {
+	var env decodeEnvelopeRef
+	if err := xml.Unmarshal(data, &env); err != nil {
+		return fmt.Errorf("soap: bad envelope: %w", err)
+	}
+	inner := bytes.TrimSpace(env.Body.Inner)
+	if isFaultRef(inner) {
+		var f Fault
+		if err := xml.Unmarshal(inner, &f); err != nil {
+			return fmt.Errorf("soap: bad fault: %w", err)
+		}
+		return &f
+	}
+	if out == nil || len(inner) == 0 {
+		return nil
+	}
+	if err := xml.Unmarshal(inner, out); err != nil {
+		return fmt.Errorf("soap: bad body: %w", err)
+	}
+	return nil
+}
+
+func isFaultRef(inner []byte) bool {
+	dec := xml.NewDecoder(bytes.NewReader(inner))
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return false
+		}
+		if se, ok := tok.(xml.StartElement); ok {
+			return se.Name.Local == "Fault"
+		}
+	}
+}
+
+// decodeRequestRef is the reference server-side decode: the whole
+// envelope parsed first, then the captured payload into the handler's
+// type.
+func decodeRequestRef(data []byte, into interface{}) error {
+	var env decodeEnvelopeRef
+	if err := xml.Unmarshal(data, &env); err != nil {
+		return &Fault{Code: "soap:Client", String: "bad envelope: " + err.Error()}
+	}
+	return xml.Unmarshal(bytes.TrimSpace(env.Body.Inner), into)
+}
+
+const testEnvOpen = `<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/">`
+
+func testEnvelope(body string) string {
+	return testEnvOpen + `<soap:Body>` + body + `</soap:Body></soap:Envelope>`
+}
+
+const testEcho = `<EchoResponse><text>hi</text><n>3</n></EchoResponse>`
+
+// envelopeCases pins Unmarshal on hand-written envelopes: what other
+// SOAP stacks send, and the malformed shapes a torn connection leaves.
+var envelopeCases = []struct {
+	name   string
+	data   string
+	nilOut bool
+	// want is the decoded payload when the call succeeds; a zero value
+	// means out must stay untouched.
+	want echoResponse
+	// fault, when set, is the *Fault the call must return.
+	fault   *Fault
+	wantErr bool
+}{
+	{name: "header before body",
+		data: testEnvOpen + `<soap:Header><Auth user="u"><t>x</t></Auth></soap:Header><soap:Body>` + testEcho + `</soap:Body></soap:Envelope>`,
+		want: echoResponse{Text: "hi", N: 3}},
+	{name: "prolog: whitespace, declaration, comments",
+		data: "\n  <?xml version=\"1.0\" encoding=\"utf-8\"?>\n<!-- sent by an old stack -->\n\t" + testEnvelope("\n  "+testEcho+"\n"),
+		want: echoResponse{Text: "hi", N: 3}},
+	{name: "empty body", data: testEnvOpen + `<soap:Body/></soap:Envelope>`},
+	{name: "empty body, nil out", data: testEnvOpen + `<soap:Body/></soap:Envelope>`, nilOut: true},
+	{name: "whitespace body", data: testEnvelope("\n \t ")},
+	{name: "no body", data: testEnvOpen + `<soap:Header/></soap:Envelope>`},
+	{name: "nil out skips the payload", data: testEnvelope(testEcho), nilOut: true},
+	{name: "elements after the payload are ignored",
+		data: testEnvelope(testEcho + `<Extra><n>9</n></Extra>`),
+		want: echoResponse{Text: "hi", N: 3}},
+	{name: "body in another namespace",
+		data: testEnvOpen + `<x:Body xmlns:x="urn:other">` + testEcho + `</x:Body></soap:Envelope>`,
+		want: echoResponse{Text: "hi", N: 3}},
+	{name: "bytes after </Envelope> are ignored",
+		data: testEnvelope(testEcho) + "\n<not closed <<& junk",
+		want: echoResponse{Text: "hi", N: 3}},
+	{name: "overloaded fault",
+		data:  testEnvelope(`<Fault xmlns="http://schemas.xmlsoap.org/soap/envelope/"><faultcode>soap:Server</faultcode><faultstring>busy</faultstring><detail>Overloaded</detail></Fault>`),
+		fault: &Fault{Code: "soap:Server", String: "busy", Detail: FaultDetailOverloaded}},
+	{name: "overloaded fault, nil out",
+		data:   testEnvelope(`<Fault xmlns="http://schemas.xmlsoap.org/soap/envelope/"><faultcode>soap:Server</faultcode><faultstring>busy</faultstring><detail>Overloaded</detail></Fault>`),
+		nilOut: true,
+		fault:  &Fault{Code: "soap:Server", String: "busy", Detail: FaultDetailOverloaded}},
+	{name: "fault without its namespace",
+		data:    testEnvelope(`<Fault><faultcode>soap:Server</faultcode><faultstring>x</faultstring></Fault>`),
+		wantErr: true},
+	{name: "wrong root element",
+		data:    `<soap:Envelop xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/"><soap:Body>` + testEcho + `</soap:Body></soap:Envelop>`,
+		wantErr: true},
+	{name: "payload of another type", data: testEnvelope(`<Other><text>hi</text></Other>`), wantErr: true},
+	{name: "payload that does not parse into its type",
+		data: testEnvelope(`<EchoResponse><n>three</n></EchoResponse>`), wantErr: true},
+	{name: "text-only body", data: testEnvelope("stray text"), wantErr: true},
+	{name: "text-only body, nil out", data: testEnvelope("stray text"), nilOut: true},
+	{name: "comment-only body", data: testEnvelope("<!-- nothing -->"), wantErr: true},
+	// Text is judged on the body's bytes, not on what they decode to.
+	{name: "whitespace CDATA body", data: testEnvelope("<![CDATA[ ]]>"), wantErr: true},
+	{name: "whitespace character reference body", data: testEnvelope("&#32;"), wantErr: true},
+	{name: "truncated mid-payload", data: testEnvelope(testEcho)[:len(testEnvOpen)+30], wantErr: true},
+	{name: "truncated mid-payload, nil out", data: testEnvelope(testEcho)[:len(testEnvOpen)+30], nilOut: true, wantErr: true},
+	{name: "truncated after </Body>",
+		data: strings.TrimSuffix(testEnvelope(testEcho), "</soap:Envelope>"), wantErr: true},
+	{name: "malformed after the payload",
+		data: testEnvelope(testEcho + `<Extra></Extar>`), wantErr: true},
+	{name: "malformed after the fault",
+		data:    testEnvelope(`<Fault xmlns="http://schemas.xmlsoap.org/soap/envelope/"><faultcode>c</faultcode><faultstring>s</faultstring></Fault><x></y>`),
+		wantErr: true},
+	{name: "empty input", data: "", wantErr: true},
+	// The payload is decoded in its envelope's namespace scope, so a
+	// fault prefixed as other SOAP stacks write it resolves. (The
+	// two-pass decode cut the payload out of its envelope first and
+	// failed it on the unbound prefix.)
+	{name: "fault written with the envelope's prefix",
+		data:  testEnvelope(`<soap:Fault><faultcode>soap:Server</faultcode><faultstring>boom</faultstring></soap:Fault>`),
+		fault: &Fault{Code: "soap:Server", String: "boom"}},
+	// A SOAP envelope has exactly one Body. (The two-pass decode kept
+	// the last one.)
+	{name: "two bodies",
+		data:    testEnvOpen + `<soap:Body><EchoResponse><text>first</text></EchoResponse></soap:Body><soap:Body>` + testEcho + `</soap:Body></soap:Envelope>`,
+		wantErr: true},
+}
+
+func TestUnmarshalEnvelopeEdgeCases(t *testing.T) {
+	for _, tc := range envelopeCases {
+		t.Run(tc.name, func(t *testing.T) {
+			var got echoResponse
+			var out interface{} = &got
+			if tc.nilOut {
+				out = nil
+			}
+			err := Unmarshal([]byte(tc.data), out)
+			var f *Fault
+			switch {
+			case tc.fault != nil:
+				if !errors.As(err, &f) {
+					t.Fatalf("want fault %+v, got %v", tc.fault, err)
+				}
+				if f.Code != tc.fault.Code || f.String != tc.fault.String || f.Detail != tc.fault.Detail {
+					t.Errorf("fault = %+v, want %+v", f, tc.fault)
+				}
+				if IsOverloaded(err) != (tc.fault.Detail == FaultDetailOverloaded) {
+					t.Errorf("IsOverloaded = %v", IsOverloaded(err))
+				}
+			case tc.wantErr:
+				if err == nil {
+					t.Fatal("want an error, got nil")
+				}
+				if errors.As(err, &f) {
+					t.Errorf("want a decode error, got fault %+v", f)
+				}
+			default:
+				if err != nil {
+					t.Fatalf("unexpected error: %v", err)
+				}
+				if got.Text != tc.want.Text || got.N != tc.want.N {
+					t.Errorf("decoded %+v, want %+v", got, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// serveRaw posts body to s under action, bypassing the client, and
+// returns the decoded fault, if the reply is one.
+func serveRaw(t *testing.T, s *Server, action, body string) (*httptest.ResponseRecorder, *Fault) {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(body))
+	req.Header.Set("SOAPAction", `"`+action+`"`)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	var f *Fault
+	if err := Unmarshal(rec.Body.Bytes(), nil); err != nil && !errors.As(err, &f) {
+		t.Fatalf("reply does not decode: %v\n%s", err, rec.Body.String())
+	}
+	return rec, f
+}
+
+func TestServeHTTPEnvelopeEdgeCases(t *testing.T) {
+	s := NewServer()
+	var calls, ran int
+	s.Handle("urn:test:Echo", func(r *Request) (interface{}, error) {
+		calls++
+		var req echoRequest
+		if err := r.Decode(&req); err != nil {
+			return nil, err
+		}
+		ran++
+		return &echoResponse{Text: req.Text, N: req.N * 2}, nil
+	})
+	full, err := Marshal(&echoRequest{Text: "abc", N: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := bytes.Index(full, []byte("<n>"))
+
+	for _, tc := range []struct {
+		name string
+		body string
+		// early: the fault comes before any handler is called.
+		early       bool
+		faultCode   string // "" for a reply
+		faultPrefix string
+	}{
+		{name: "truncated mid-payload", body: string(full[:mid+2]),
+			faultCode: "soap:Client", faultPrefix: "bad envelope"},
+		{name: "truncated before the body", body: testEnvOpen + `<soap:Bo`,
+			early: true, faultCode: "soap:Client", faultPrefix: "bad envelope"},
+		{name: "malformed after the payload",
+			body:      testEnvOpen + `<soap:Body><Echo><text>abc</text></Echo><x></y></soap:Body></soap:Envelope>`,
+			faultCode: "soap:Client", faultPrefix: "bad envelope"},
+		{name: "wrong root", body: `<Envelop><Body><Echo/></Body></Envelop>`,
+			early: true, faultCode: "soap:Client", faultPrefix: "bad envelope"},
+		{name: "empty body", body: testEnvOpen + `<soap:Body/></soap:Envelope>`,
+			faultCode: "soap:Server", faultPrefix: `soap: decode request for "urn:test:Echo": EOF`},
+		{name: "payload of another type", body: testEnvelope(`<Other/>`),
+			faultCode: "soap:Server", faultPrefix: `soap: decode request for "urn:test:Echo"`},
+		{name: "header before body",
+			body: testEnvOpen + `<soap:Header><Auth>x</Auth></soap:Header><soap:Body><Echo><text>abc</text><n>4</n></Echo></soap:Body></soap:Envelope>`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			calls, ran = 0, 0
+			rec, f := serveRaw(t, s, "urn:test:Echo", tc.body)
+			if tc.early && calls != 0 {
+				t.Errorf("handler called %d times, want none", calls)
+			}
+			if tc.faultCode == "" {
+				if f != nil {
+					t.Fatalf("unexpected fault %+v", f)
+				}
+				var resp echoResponse
+				if err := Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Text != "abc" || resp.N != 8 {
+					t.Errorf("reply = %+v, %v", resp, err)
+				}
+				return
+			}
+			if ran != 0 {
+				t.Error("handler worked past a failed Decode")
+			}
+			if f == nil {
+				t.Fatalf("want a %s fault, got status %d: %s", tc.faultCode, rec.Code, rec.Body.String())
+			}
+			if f.Code != tc.faultCode || !strings.HasPrefix(f.String, tc.faultPrefix) {
+				t.Errorf("fault = %+v, want %s %q…", f, tc.faultCode, tc.faultPrefix)
+			}
+		})
+	}
+}
+
+func TestRequestDecodeOnce(t *testing.T) {
+	data, err := Marshal(&echoRequest{Text: "x", N: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := openEnvelope(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Request{Action: "urn:test:Echo", env: env}
+	var req echoRequest
+	if err := r.Decode(&req); err != nil || req.Text != "x" || req.N != 1 {
+		t.Fatalf("first Decode = %+v, %v", req, err)
+	}
+	if err := r.Decode(&req); err == nil {
+		t.Error("second Decode succeeded")
+	}
+}
+
+// mixedDataSet is an n-row int/float/string set.
+func mixedDataSet(n int) *dataset.DataSet {
+	d := dataset.New(
+		dataset.Column{Name: "id", Type: value.IntType},
+		dataset.Column{Name: "ra", Type: value.FloatType},
+		dataset.Column{Name: "type", Type: value.StringType},
+	)
+	for i := 0; i < n; i++ {
+		d.Append([]value.Value{value.Int(int64(i)), value.Float(float64(i) / 7), value.String(fmt.Sprintf("GALAXY-%d", i%13))})
+	}
+	return d
+}
+
+// TestUnmarshalEnvelopeAllocs holds the envelope to a constant cost: an
+// XML DataSet reply must allocate no more than decoding the bare
+// payload does (a second pass over the body doubles it).
+func TestUnmarshalEnvelopeAllocs(t *testing.T) {
+	d := mixedDataSet(2000)
+	env, err := Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bare bytes.Buffer
+	if err := d.EncodeXML(&bare); err != nil {
+		t.Fatal(err)
+	}
+	viaEnvelope := testing.AllocsPerRun(5, func() {
+		if err := Unmarshal(env, &dataset.DataSet{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	direct := testing.AllocsPerRun(5, func() {
+		if _, err := dataset.DecodeXML(bytes.NewReader(bare.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if ratio := viaEnvelope / direct; ratio > 1.05 {
+		t.Errorf("Unmarshal allocates %.0f per call, %.2f× the bare payload decode's %.0f; want ≤ 1.05×", viaEnvelope, ratio, direct)
+	}
+}
+
+func BenchmarkUnmarshalEnvelope(b *testing.B) {
+	env, err := Marshal(mixedDataSet(2000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(env)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Unmarshal(env, &dataset.DataSet{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// FuzzUnmarshalEnvelope checks the one-pass envelope decode against the
+// two-pass reference, on the client (Unmarshal) and the server
+// (openEnvelope + Request.Decode) side: both must agree on error versus
+// success and on the decoded value, and Unmarshal on fault versus
+// payload. (A server-side request whose payload misfits its type before
+// a later syntax error gets the decode error, not the reference's
+// "bad envelope" fault: Decode stops at the first error it meets.) Two
+// differences are legitimate and skipped: an envelope with a second
+// Body (rejected now; the reference kept the last), and a Fault that
+// relies on a namespace declared on Envelope or Body, which the
+// reference, decoding the payload cut out of its envelope, cannot
+// resolve. For the same reason XMLName.Space is cleared before values
+// are compared.
+func FuzzUnmarshalEnvelope(f *testing.F) {
+	for _, payload := range []interface{}{
+		&ChunkedData{Token: "tok", Seq: 1, Remaining: 2, Data: mixedDataSet(3)},
+		&Fault{Code: "soap:Server", String: "busy", Detail: FaultDetailOverloaded},
+		&echoResponse{Text: "a <b> & c", N: -7},
+	} {
+		data, err := Marshal(payload)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, tc := range envelopeCases {
+		f.Add([]byte(tc.data))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, mk := range []func() interface{}{
+			func() interface{} { return nil },
+			func() interface{} { return new(ChunkedData) },
+			func() interface{} { return new(echoResponse) },
+		} {
+			got, want := mk(), mk()
+			errGot, errWant := Unmarshal(data, got), unmarshalRef(data, want)
+			if twoBodies(errGot) || envelopeScopedFault(errGot, errWant) {
+				continue
+			}
+			checkSameDecode(t, "Unmarshal", errGot, errWant, got, want, true)
+			if got == nil {
+				continue
+			}
+			got, want = mk(), mk()
+			errGot = decodeRequest(data, got)
+			errWant = decodeRequestRef(data, want)
+			if twoBodies(errGot) {
+				continue
+			}
+			checkSameDecode(t, "Request.Decode", errGot, errWant, got, want, false)
+		}
+	})
+}
+
+// decodeRequest is the server's decode path: ServeHTTP's openEnvelope,
+// then the handler's Decode.
+func decodeRequest(data []byte, into interface{}) error {
+	env, err := openEnvelope(data)
+	if err != nil {
+		return &Fault{Code: "soap:Client", String: "bad envelope: " + err.Error()}
+	}
+	return (&Request{env: env}).Decode(into)
+}
+
+func twoBodies(err error) bool {
+	var se *xml.SyntaxError
+	return errors.As(err, &se) && se.Msg == errTwoBodiesMsg
+}
+
+func envelopeScopedFault(errGot, errWant error) bool {
+	var f *Fault
+	return errors.As(errGot, &f) && errWant != nil &&
+		strings.HasPrefix(errWant.Error(), "soap: bad fault: expected element <Fault> in name space")
+}
+
+func checkSameDecode(t *testing.T, path string, errGot, errWant error, got, want interface{}, faults bool) {
+	t.Helper()
+	if (errGot == nil) != (errWant == nil) {
+		t.Fatalf("%s: error %v, reference error %v", path, errGot, errWant)
+	}
+	var fGot, fWant *Fault
+	if faults && errors.As(errGot, &fGot) != errors.As(errWant, &fWant) {
+		t.Fatalf("%s: error %v, reference error %v", path, errGot, errWant)
+	}
+	if fGot != nil && *fGot != *fWant {
+		t.Fatalf("%s: fault %+v, reference fault %+v", path, fGot, fWant)
+	}
+	if errGot == nil && got != nil {
+		if g, w := canonicalXML(t, got), canonicalXML(t, want); g != w {
+			t.Fatalf("%s: decoded\n%s\nreference decoded\n%s", path, g, w)
+		}
+	}
+}
+
+// canonicalXML renders a decoded value for comparison (through the
+// value codec, so NaN cells compare equal), namespace context cleared.
+func canonicalXML(t *testing.T, v interface{}) string {
+	switch v := v.(type) {
+	case *ChunkedData:
+		c := *v
+		c.XMLName.Space = ""
+		v = &c
+	case *echoResponse:
+		c := *v
+		c.XMLName.Space = ""
+		v = &c
+	}
+	data, err := xml.Marshal(v)
+	if err != nil {
+		t.Fatalf("re-marshal %T: %v", v, err)
+	}
+	return string(data)
+}
