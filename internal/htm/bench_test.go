@@ -53,3 +53,14 @@ func BenchmarkLookup(b *testing.B) {
 		lookupSink = Lookup(caps[i%len(caps)].Center, benchLeaf)
 	}
 }
+
+// BenchmarkEnclosing measures the portal's per-tuple shard routing: the
+// finest trixel at the leaf level or above that holds the cap.
+func BenchmarkEnclosing(b *testing.B) {
+	caps := workloadCaps(1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lookupSink, _ = Enclosing(caps[i%len(caps)], benchLeaf)
+	}
+}

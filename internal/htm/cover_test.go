@@ -180,6 +180,75 @@ func TestCoverCapMatchesReference(t *testing.T) {
 	}
 }
 
+// TestEnclosingHoldsCover checks Enclosing against CoverCap on 10⁵ seeded
+// small caps — the cover corpus plus caps around the six root-trixel
+// vertices — at the corpus leaf level: every range the cover reports, and
+// the leaf trixel Lookup files a point of the cap under, lies in the
+// enclosing trixel's descendant range at that level.
+func TestEnclosingHoldsCover(t *testing.T) {
+	n := 100000
+	if testing.Short() {
+		n = 10000
+	}
+	cases := coverCorpus(n - n/10)
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < n/10; i++ {
+		p := offset(rng, rootVertices[i%len(rootVertices)], 1e-4)
+		r := sphere.Arcsec(0.01 * math.Pow(500, rng.Float64()))
+		cases = append(cases, coverCase{"root-vertex", sphere.CapAround(p, r), 14})
+	}
+	enclosed := map[string]int{}
+	for _, cc := range cases {
+		id, ok := Enclosing(cc.c, cc.leaf)
+		if !ok {
+			continue
+		}
+		enclosed[cc.family]++
+		if l := id.Level(); l < 0 || l > cc.leaf {
+			t.Fatalf("%s cap %v: enclosing trixel %v at level %d, leaf %d", cc.family, cc.c, id, l, cc.leaf)
+		}
+		span := id.AtLevel(cc.leaf)
+		sub := min(LevelForRadius(cc.c.Radius), cc.leaf)
+		for _, r := range CoverCap(cc.c, sub, cc.leaf).Ranges() {
+			if r.Lo < span.Lo || r.Hi > span.Hi {
+				t.Fatalf("%s cap %v (radius %.17g°): cover range %v escapes enclosing trixel %v (%v)",
+					cc.family, cc.c, cc.c.Radius, r, id, span)
+			}
+		}
+		p := offset(rng, cc.c.Center, cc.c.Radius*sphere.RadPerDeg)
+		if cc.c.Contains(p) && !span.Contains(Lookup(p, cc.leaf)) {
+			t.Fatalf("%s cap %v: point %v in the cap looks up to %v, outside enclosing trixel %v",
+				cc.family, cc.c, p, Lookup(p, cc.leaf), id)
+		}
+	}
+	// Field, edge, vertex and tangent caps lie inside one root trixel;
+	// a helper that gave up on them would route every tuple everywhere.
+	for _, fam := range []string{"field", "edge", "vertex", "tangent"} {
+		if enclosed[fam] == 0 {
+			t.Errorf("no %s cap was enclosed", fam)
+		}
+	}
+	t.Logf("enclosed caps by family: %v of %d", enclosed, len(cases))
+}
+
+// TestEnclosingEdges pins the cases that must not descend: caps of 90° or
+// more, a cap across a root edge, and a level bound of zero.
+func TestEnclosingEdges(t *testing.T) {
+	if _, ok := Enclosing(sphere.NewCap(185, -0.5, 90), 14); ok {
+		t.Error("a 90° cap was enclosed")
+	}
+	if _, ok := Enclosing(sphere.NewCap(185, 0, sphere.Arcsec(1)), 14); ok {
+		t.Error("a cap across the equator was enclosed")
+	}
+	c := sphere.NewCap(185, -0.5, sphere.Arcsec(1))
+	if id, ok := Enclosing(c, 0); !ok || id.Level() != 0 || id != Lookup(c.Center, 0) {
+		t.Errorf("Enclosing(level 0) = %v, %v; want root %v", id, ok, Lookup(c.Center, 0))
+	}
+	if id, ok := Enclosing(c, 14); !ok || id != Lookup(c.Center, id.Level()) || id.Level() < 10 {
+		t.Errorf("Enclosing(level 14) = %v (level %d), %v; want a fine trixel holding the centre", id, id.Level(), ok)
+	}
+}
+
 // FuzzCoverCap checks CoverCap against the reference walk on arbitrary
 // caps and leaf levels.
 func FuzzCoverCap(f *testing.F) {

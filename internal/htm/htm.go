@@ -326,12 +326,7 @@ func CoverCap(c sphere.Cap, subdivideLevel, leafLevel int) Cover {
 	if subdivideLevel < 0 {
 		subdivideLevel = 0
 	}
-	w := coverWalk{c: c, sub: subdivideLevel, leaf: leafLevel, s2: math.Inf(1), cov: Cover{Level: leafLevel}}
-	if c.Radius < 90 {
-		sin := math.Sin(c.Radius * sphere.RadPerDeg)
-		s := math.Sqrt(sin*sin+cosSlack) + angleSlack
-		w.s2 = s * s
-	}
+	w := coverWalk{c: c, sub: subdivideLevel, leaf: leafLevel, s2: planeThreshold(c), cov: Cover{Level: leafLevel}}
 	for i := 0; i < 8; i++ {
 		t := rootTriangle(i)
 		if w.beyond(t[0].Cross(t[1])) >= 0 && w.beyond(t[1].Cross(t[2])) >= 0 &&
@@ -365,6 +360,69 @@ const (
 	angleSlack = 1e-14
 )
 
+// planeThreshold returns the squared sine threshold of the separating-
+// plane test for the cap, or +Inf (test off) for caps of 90° or more.
+func planeThreshold(c sphere.Cap) float64 {
+	if !(c.Radius < 90) {
+		return math.Inf(1)
+	}
+	sin := math.Sin(c.Radius * sphere.RadPerDeg)
+	s := math.Sqrt(sin*sin+cosSlack) + angleSlack
+	return s * s
+}
+
+// Enclosing returns the finest trixel, at maxLevel or above, that wholly
+// contains the cap. It descends from the root and steps into a child only
+// while the cap lies strictly on the inner side of all three of the
+// child's edges, by the margins of CoverCap's separating-plane test. Every
+// point within rounding of the cap therefore lies in the trixel's
+// interior: Lookup files it under the trixel at every deeper level, and
+// every range CoverCap reports for the cap lies in the trixel's descendant
+// range. ok is false for caps of 90° or more and for caps no root trixel
+// contains (a cap across a root edge).
+//
+// It costs three to five cross products per level, against CoverCap's
+// walk of every trixel the cap touches, for callers that only need to know
+// which part of the sky a small cap can reach.
+func Enclosing(c sphere.Cap, maxLevel int) (id ID, ok bool) {
+	w := coverWalk{c: c, s2: planeThreshold(c)}
+	if math.IsInf(w.s2, 1) {
+		return 0, false
+	}
+	for i := 0; i < 8; i++ {
+		t := rootTriangle(i)
+		if !w.inside(t[0], t[1]) || !w.inside(t[1], t[2]) || !w.inside(t[2], t[0]) {
+			continue
+		}
+		id := ID(8 + i)
+		for level := 0; level < maxLevel && level < MaxLevel; level++ {
+			// The children and their inner edges as children() builds
+			// them; an inner edge is shared with the middle child, whose
+			// own normal is the exact negation.
+			w0 := t[1].Add(t[2]).Normalize()
+			w1 := t[0].Add(t[2]).Normalize()
+			w2 := t[0].Add(t[1]).Normalize()
+			s01 := w.beyond(w0.Cross(w1))
+			s12 := w.beyond(w1.Cross(w2))
+			s20 := w.beyond(w2.Cross(w0))
+			switch {
+			case s12 < 0 && w.inside(t[0], w2) && w.inside(w1, t[0]):
+				id, t = id.Child(0), Triangle{t[0], w2, w1}
+			case s20 < 0 && w.inside(t[1], w0) && w.inside(w2, t[1]):
+				id, t = id.Child(1), Triangle{t[1], w0, w2}
+			case s01 < 0 && w.inside(t[2], w1) && w.inside(w0, t[2]):
+				id, t = id.Child(2), Triangle{t[2], w1, w0}
+			case s01 > 0 && s12 > 0 && s20 > 0:
+				id, t = id.Child(3), Triangle{w0, w1, w2}
+			default:
+				return id, true
+			}
+		}
+		return id, true
+	}
+	return 0, false
+}
+
 // coverWalk is one CoverCap call's recursion state.
 type coverWalk struct {
 	c         sphere.Cap
@@ -389,6 +447,10 @@ func (w *coverWalk) beyond(n sphere.Vec) int {
 	}
 	return 1
 }
+
+// inside reports whether the whole cap lies strictly on the inner side of
+// the edge from a to b of a counter-clockwise trixel.
+func (w *coverWalk) inside(a, b sphere.Vec) bool { return w.beyond(a.Cross(b)) > 0 }
 
 func (w *coverWalk) visit(id ID, level int, t Triangle) {
 	switch classify(t, w.c) {

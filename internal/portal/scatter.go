@@ -9,6 +9,16 @@ package portal
 // the shard outputs deterministically before stashing them as the next
 // step's incoming tuples.
 //
+// Per-tuple routing: a step after the seed does not stash every
+// incoming tuple for every shard. Each tuple goes only to the shards its
+// own search cap can reach — those overlapping the finest trixel that
+// wholly contains the cap (htm.Enclosing) — and each shard's attempt
+// stashes only its own part (routeTuples). Routing may add a shard but
+// never drops one that holds a row inside the cap. Every area-routed
+// shard is still called, even with no tuples, so each step's output
+// schema comes from the nodes; a flat archive's pseudo-shard gets every
+// tuple.
+//
 // Determinism is the whole game. Every merge must reproduce the exact
 // row order a single unsharded node would have produced:
 //
@@ -16,15 +26,18 @@ package portal
 //     nodes emit rows in canonical trixel order, so concatenating shard
 //     outputs in shard-index order IS the single-node order.
 //   - Extend steps: the coordinator appends a hidden ordinal column to
-//     the incoming tuples before stashing. Step runners carry incoming
+//     the incoming tuples before routing. Step runners carry incoming
 //     payload columns through in input order, so each shard's output
 //     arrives with nondecreasing ordinals; a k-way merge by (ordinal,
 //     shard index) restores the single-node order and the ordinal
-//     column is stripped before the next step sees it.
-//   - Drop-out steps: a shard's output is the subset of incoming tuples
-//     that survived its local veto, so a tuple survives globally iff it
-//     survives on every shard — an ordinal-set intersection, taking the
-//     surviving rows from the coordinator's own copy.
+//     column is stripped before the next step sees it. A shard a tuple
+//     was not routed to holds no match for it, so it would have
+//     contributed nothing.
+//   - Drop-out steps: a shard's output is the subset of its routed
+//     tuples that survived its local veto, so a tuple survives globally
+//     iff every shard it was routed to returned it — a tuple routed to
+//     no shard (no search budget) survives — taking the surviving rows
+//     from the coordinator's own copy.
 //
 // Replica failover: every per-shard call runs through withReplicas,
 // which prefers followers (spreading reads off the append leader),
@@ -37,6 +50,7 @@ package portal
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -48,8 +62,10 @@ import (
 	"skyquery/internal/registry"
 	"skyquery/internal/skynode"
 	"skyquery/internal/soap"
+	"skyquery/internal/sphere"
 	"skyquery/internal/sqlparse"
 	"skyquery/internal/value"
+	"skyquery/internal/xmatch"
 )
 
 // ordColumn is the hidden ordinal the coordinator appends to stashed
@@ -407,23 +423,24 @@ func (p *Portal) scatterCrossMatchStream(ctx context.Context, pl *plan.Plan) (co
 	return core.NewSliceStream(ds, p.cfg.ChunkRows), nil
 }
 
-// stepShards resolves the scatter targets of one plan step: the routed
-// shard list for a sharded archive, or the step's own endpoint wrapped
-// as a single pseudo-shard for a flat one (flat archives ride the same
-// isolated-step machinery inside an otherwise sharded plan).
-func (p *Portal) stepShards(step plan.Step, area plan.Area) ([]registry.Shard, error) {
+// stepShards resolves the scatter targets of one plan step: the archive's
+// shard map with its area-routed shards, or — for a flat archive — a nil
+// map and the step's own endpoint wrapped as a single pseudo-shard (flat
+// archives ride the same isolated-step machinery inside an otherwise
+// sharded plan).
+func (p *Portal) stepShards(step plan.Step, area plan.Area) (*registry.ShardMap, []registry.Shard, error) {
 	m := p.reg.ShardMap(step.Archive)
 	if m == nil {
 		uni := htm.LevelRange(0)
-		return []registry.Shard{{
+		return nil, []registry.Shard{{
 			Range:  registry.ShardRange{Lo: uint64(uni.Lo), Hi: uint64(uni.Hi)},
 			Leader: step.Endpoint,
 		}}, nil
 	}
 	if err := p.routable(m); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return shardsForArea(m, &area), nil
+	return m, shardsForArea(m, &area), nil
 }
 
 // runShardedChain walks the plan from the seed step (last in call
@@ -441,25 +458,34 @@ func (p *Portal) runShardedChain(ctx context.Context, pl *plan.Plan) (*dataset.D
 	var cur *dataset.DataSet
 	for i := len(pl.Steps) - 1; i >= 0; i-- {
 		step := pl.Steps[i]
-		shards, err := p.stepShards(step, pl.Area)
+		m, shards, err := p.stepShards(step, pl.Area)
 		if err != nil {
 			return nil, err
 		}
 		seed := i == len(pl.Steps)-1
-		var stash *dataset.DataSet
-		if !seed {
+		var parts []*dataset.DataSet
+		var fanout []int
+		if seed {
+			p.emit("shard.scatter", "step %s -> %d shard(s)", step.Archive, len(shards))
+		} else {
 			if self == "" {
 				return nil, fmt.Errorf("portal: sharded execution needs SetSelfURL (nodes fetch incoming tuples from the portal's stash)")
 			}
-			stash = withOrdinals(cur)
+			if parts, fanout, err = routeTuples(cur, pl, step, m, shards); err != nil {
+				return nil, err
+			}
+			routed := make([]int, len(parts))
+			for k, part := range parts {
+				routed[k] = len(part.Rows)
+			}
+			p.emit("shard.scatter", "step %s -> %d shard(s), tuples routed %v of %d", step.Archive, len(shards), routed, len(cur.Rows))
 		}
-		p.emit("shard.scatter", "step %s -> %d shard(s)", step.Archive, len(shards))
 		outs := make([]*dataset.DataSet, len(shards))
 		err = scatterEach(shards, func(k int, sh registry.Shard) error {
 			return p.withReplicas(ctx, step.Archive, sh, func(ep string) (err error) {
 				req := &skynode.CrossMatchRequest{Plan: *pl, Isolated: true}
-				if stash != nil {
-					tok := p.chunks.Stash(stash, chunkRows, 1)[0]
+				if parts != nil {
+					tok := p.chunks.Stash(parts[k], chunkRows, 1)[0]
 					req.Incoming = &skynode.IncomingRef{Endpoint: self, Token: tok}
 					// A failed or cancelled attempt never drains its
 					// token; release it now instead of waiting for the
@@ -489,7 +515,7 @@ func (p *Portal) runShardedChain(ctx context.Context, pl *plan.Plan) (*dataset.D
 		case seed:
 			cur, err = concatShards(outs)
 		case step.DropOut:
-			cur, err = intersectShards(cur, outs)
+			cur, err = intersectShards(cur, outs, fanout)
 		default:
 			cur, err = mergeShards(outs)
 		}
@@ -498,6 +524,58 @@ func (p *Portal) runShardedChain(ctx context.Context, pl *plan.Plan) (*dataset.D
 		}
 	}
 	return cur, nil
+}
+
+// routeTuples splits one non-seed step's incoming tuples by shard. Every
+// tuple is tagged with its ordinal and sent only to the shards its search
+// cap can reach: those whose trixel range overlaps the finest trixel, at
+// the map's level or above, that wholly contains the cap (htm.Enclosing).
+// The trixel holds every row inside the cap, so routing may add a shard
+// but never drops one that holds a match. A cap no root trixel holds goes
+// to every shard; a tuple with no search budget (radius <= 0) goes to
+// none, since every node would return nothing for it on an extend step
+// and keep it on a drop-out one. A flat archive's pseudo-shard (nil map)
+// gets every tuple. Each part keeps the canonical order, so shard outputs
+// still arrive with nondecreasing ordinals. fanout[i] counts the shards
+// tuple i went to.
+func routeTuples(cur *dataset.DataSet, pl *plan.Plan, step plan.Step, m *registry.ShardMap, shards []registry.Shard) (parts []*dataset.DataSet, fanout []int, err error) {
+	tagged := withOrdinals(cur)
+	parts = make([]*dataset.DataSet, len(shards))
+	for k := range parts {
+		parts[k] = &dataset.DataSet{Columns: tagged.Columns}
+	}
+	fanout = make([]int, len(tagged.Rows))
+	if m == nil {
+		for k := range parts {
+			parts[k].Rows = tagged.Rows
+		}
+		for i := range fanout {
+			fanout[i] = len(shards)
+		}
+		return parts, fanout, nil
+	}
+	for i, row := range tagged.Rows {
+		acc, err := xmatch.CellsToAcc(row)
+		if err != nil {
+			return nil, nil, err
+		}
+		radius := acc.SearchRadius(pl.Threshold, step.SigmaArcsec)
+		if radius <= 0 {
+			continue
+		}
+		lo, hi := uint64(0), uint64(math.MaxUint64)
+		if id, ok := htm.Enclosing(sphere.CapAround(acc.Best(), radius), m.Level); ok {
+			r := id.AtLevel(m.Level)
+			lo, hi = uint64(r.Lo), uint64(r.Hi)
+		}
+		for k, sh := range shards {
+			if sh.Range.Lo <= hi && lo <= sh.Range.Hi {
+				parts[k].Rows = append(parts[k].Rows, row)
+				fanout[i]++
+			}
+		}
+	}
+	return parts, fanout, nil
 }
 
 // withOrdinals appends the hidden ordinal column, numbering rows by
@@ -572,32 +650,34 @@ func mergeShards(outs []*dataset.DataSet) (*dataset.DataSet, error) {
 }
 
 // intersectShards merges drop-out-step outputs: a shard returns the
-// incoming tuples its local archive did NOT veto, so a tuple survives
-// the global veto iff every shard returned it. The surviving rows come
-// from the coordinator's own pre-ordinal copy, which keeps the output
-// bit-identical to the single-node fold.
-func intersectShards(incoming *dataset.DataSet, outs []*dataset.DataSet) (*dataset.DataSet, error) {
+// routed tuples its local archive did NOT veto, so a tuple survives the
+// global veto iff every shard it was routed to (fanout[i] of them)
+// returned it — a tuple routed to no shard survives. The surviving rows
+// come from the coordinator's own pre-ordinal copy, which keeps the
+// output bit-identical to the single-node fold.
+func intersectShards(incoming *dataset.DataSet, outs []*dataset.DataSet, fanout []int) (*dataset.DataSet, error) {
 	if _, err := shardSchema(outs); err != nil {
 		return nil, err
 	}
-	survived := map[int64]int{}
+	hits := make([]int, len(incoming.Rows))
 	for _, o := range outs {
 		oi := o.ColumnIndex(ordColumn)
 		if oi < 0 {
 			return nil, fmt.Errorf("portal: drop-out shard output lost the ordinal column")
 		}
-		seen := map[int64]bool{}
+		last := int64(-1)
 		for _, r := range o.Rows {
 			ord := r[oi].AsInt()
-			if !seen[ord] {
-				seen[ord] = true
-				survived[ord]++
+			if ord <= last || ord >= int64(len(hits)) {
+				return nil, fmt.Errorf("portal: drop-out shard output has ordinal %d out of order", ord)
 			}
+			last = ord
+			hits[ord]++
 		}
 	}
 	out := &dataset.DataSet{Columns: incoming.Columns, Rows: make([][]value.Value, 0, len(incoming.Rows))}
 	for i, r := range incoming.Rows {
-		if survived[int64(i)] == len(outs) {
+		if hits[i] == fanout[i] {
 			out.Rows = append(out.Rows, r)
 		}
 	}

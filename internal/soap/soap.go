@@ -94,12 +94,41 @@ type bodyEncode struct {
 // Marshal wraps a payload in a SOAP envelope.
 func Marshal(payload interface{}) ([]byte, error) {
 	var buf bytes.Buffer
-	buf.WriteString(xml.Header)
-	env := envelope{NS: EnvelopeNS, Body: bodyEncode{Payload: payload}}
-	if err := xml.NewEncoder(&buf).Encode(env); err != nil {
-		return nil, fmt.Errorf("soap: marshal: %w", err)
+	if err := marshalTo(&buf, payload); err != nil {
+		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// marshalTo appends the SOAP envelope around payload to buf.
+func marshalTo(buf *bytes.Buffer, payload interface{}) error {
+	buf.WriteString(xml.Header)
+	env := envelope{NS: EnvelopeNS, Body: bodyEncode{Payload: payload}}
+	if err := xml.NewEncoder(buf).Encode(env); err != nil {
+		return fmt.Errorf("soap: marshal: %w", err)
+	}
+	return nil
+}
+
+// replyBufs recycles the buffers the server builds whole replies in, so a
+// reply does not regrow a fresh buffer by doubling up to its size. Only
+// the server pools: a client's request body may still be read by
+// net/http after RoundTrip returns.
+var replyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledReply caps the buffers replyBufs keeps, so one huge reply does
+// not pin its memory for the life of the process.
+const maxPooledReply = 4 << 20
+
+func getReplyBuf() *bytes.Buffer { return replyBufs.Get().(*bytes.Buffer) }
+
+// putReplyBuf returns a buffer once its bytes have been written out.
+func putReplyBuf(buf *bytes.Buffer) {
+	if buf.Cap() > maxPooledReply {
+		return
+	}
+	buf.Reset()
+	replyBufs.Put(buf)
 }
 
 // Unmarshal extracts the body payload of a SOAP envelope into out,
@@ -421,8 +450,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if bp, ok := resp.(BinaryPayload); ok {
 			// Buffered so an encode failure can still become a clean
 			// XML fault instead of a torn stream.
-			var buf bytes.Buffer
-			if err := bp.EncodeFrames(&buf); err != nil {
+			buf := getReplyBuf()
+			defer putReplyBuf(buf)
+			if err := bp.EncodeFrames(buf); err != nil {
 				s.writeFault(w, &Fault{Code: "soap:Server", String: "encode response: " + err.Error()})
 				return
 			}
@@ -430,17 +460,19 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	out, err := Marshal(resp)
-	if err != nil {
+	buf := getReplyBuf()
+	defer putReplyBuf(buf)
+	if err := marshalTo(buf, resp); err != nil {
 		s.writeFault(w, &Fault{Code: "soap:Server", String: "marshal response: " + err.Error()})
 		return
 	}
-	writeBuffered(w, contentTypeXML, http.StatusOK, out)
+	writeBuffered(w, contentTypeXML, http.StatusOK, buf.Bytes())
 }
 
 func (s *Server) writeFault(w http.ResponseWriter, f *Fault) {
-	out, err := Marshal(f)
-	if err != nil {
+	buf := getReplyBuf()
+	defer putReplyBuf(buf)
+	if err := marshalTo(buf, f); err != nil {
 		http.Error(w, f.String, http.StatusInternalServerError)
 		return
 	}
@@ -449,7 +481,7 @@ func (s *Server) writeFault(w http.ResponseWriter, f *Fault) {
 		// The 429/503 analogue: the work was refused, not attempted.
 		status = http.StatusServiceUnavailable
 	}
-	writeBuffered(w, contentTypeXML, status, out)
+	writeBuffered(w, contentTypeXML, status, buf.Bytes())
 }
 
 // writeBuffered sends a reply that is already whole in memory, with its

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -830,6 +831,93 @@ func BenchmarkUnmarshalEnvelope(b *testing.B) {
 		if err := Unmarshal(env, &dataset.DataSet{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// replyServer serves one DataSet reply per request, whose size the
+// request's N picks, and a fault for N < 0. Each set is built once, so a
+// benchmark of the server counts the reply's marshalling, not the set's
+// construction; callers serve one request at a time.
+func replyServer() *Server {
+	s := NewServer()
+	sets := map[int]*dataset.DataSet{}
+	s.Handle("urn:test:Rows", func(r *Request) (interface{}, error) {
+		var req echoRequest
+		if err := r.Decode(&req); err != nil {
+			return nil, err
+		}
+		if req.N < 0 {
+			return nil, &Fault{Code: "soap:Client", String: "negative <size> & " + req.Text}
+		}
+		if sets[req.N] == nil {
+			sets[req.N] = mixedDataSet(req.N)
+		}
+		return sets[req.N], nil
+	})
+	return s
+}
+
+func replyRequest(tb testing.TB, n int) *http.Request {
+	tb.Helper()
+	body, err := Marshal(&echoRequest{Text: "rows", N: n})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
+	req.Header.Set("SOAPAction", "urn:test:Rows")
+	return req
+}
+
+// TestPooledReplyBytes holds server replies built in pooled buffers to
+// the bytes Marshal builds in a fresh one, across buffers reused dirty:
+// a large reply, smaller ones, a fault, and a reply too large to pool.
+func TestPooledReplyBytes(t *testing.T) {
+	s := replyServer()
+	for _, n := range []int{2000, 3, 0, -1, 500, 60000, 7} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, replyRequest(t, n))
+		var want []byte
+		var err error
+		if n < 0 {
+			want, err = Marshal(&Fault{Code: "soap:Client", String: "negative <size> & rows"})
+		} else {
+			want, err = Marshal(mixedDataSet(n))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: pooled reply (%d bytes) differs from Marshal (%d bytes)", n, len(got), len(want))
+		}
+		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(want)) {
+			t.Errorf("n=%d: Content-Length %s, want %d", n, cl, len(want))
+		}
+	}
+}
+
+// discardResponse is a ResponseWriter that drops the body, so a benchmark
+// of the server counts only the server's own allocation.
+type discardResponse struct{ h http.Header }
+
+func (d *discardResponse) Header() http.Header         { return d.h }
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardResponse) WriteHeader(int)             {}
+
+// BenchmarkServeXMLReply measures the server side of one XML DataSet
+// reply: decode the request, run the handler, marshal and send the reply.
+func BenchmarkServeXMLReply(b *testing.B) {
+	s := replyServer()
+	body, err := Marshal(&echoRequest{Text: "rows", N: 2000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := &discardResponse{h: http.Header{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
+		req.Header.Set("SOAPAction", "urn:test:Rows")
+		s.ServeHTTP(w, req)
 	}
 }
 

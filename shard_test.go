@@ -6,10 +6,12 @@ package skyquery
 // degrade, not fail, when replicas die.
 //
 //   - TestShardedGoldenCorpus: corpus × shard counts {2, 8} × par {1, 4}
-//     × batch {1, 3, 1024} against the same checked-in goldens the
-//     unsharded federation (TestGoldenQueryCorpus, shard count 1) pins.
-//   - TestShardedGoldenCorpusDegraded: the corpus again with a replica
-//     killed mid-query — answers still bit-identical, failover logged.
+//     × batch {1, 3, 1024}, folded and streamed, against the same
+//     checked-in goldens the unsharded federation (TestGoldenQueryCorpus,
+//     shard count 1) pins.
+//   - TestShardedGoldenCorpusDegraded: the corpus again, folded and
+//     streamed, with a replica killed mid-query — answers still
+//     bit-identical, failover logged.
 //   - TestShardFollowerServesWhenLeaderDown: the failover satellite — a
 //     query whose shard leaders are dead is served by the followers.
 //   - TestShardScatterPrunes: nettrace-counter proof that a query whose
@@ -31,6 +33,7 @@ import (
 	"testing"
 	"time"
 
+	"skyquery/internal/dataset"
 	"skyquery/internal/eval"
 	"skyquery/internal/htm"
 )
@@ -46,10 +49,14 @@ func goldenQueries(t *testing.T) []string {
 	return files
 }
 
-// runCorpus runs every corpus query and diffs against the goldens.
+// runCorpus runs every corpus query twice — folded through Query and
+// drained row by row off the streaming client iterator (QueryRows) — and
+// diffs both against the goldens.
 func runCorpus(t *testing.T, f *Federation, files []string, label string) {
 	t.Helper()
+	c := f.Client()
 	for _, file := range files {
+		name := label + "/" + filepath.Base(file)
 		sql, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
@@ -60,14 +67,32 @@ func runCorpus(t *testing.T, f *Federation, files []string, label string) {
 		}
 		res, err := f.Query(context.Background(), string(sql))
 		if err != nil {
-			t.Errorf("%s/%s: query failed: %v", label, filepath.Base(file), err)
-			continue
+			t.Errorf("%s: query failed: %v", name, err)
+		} else if got := goldenEncode(res); got != string(want) {
+			t.Errorf("%s: folded result diverges from golden\ngot:\n%s\nwant:\n%s", name, got, want)
 		}
-		if got := goldenEncode(res); got != string(want) {
-			t.Errorf("%s/%s: sharded result diverges from golden\ngot:\n%s\nwant:\n%s",
-				label, filepath.Base(file), got, want)
+		streamed, err := drainRows(c, string(sql))
+		if err != nil {
+			t.Errorf("%s: streamed query failed: %v", name, err)
+		} else if got := goldenEncode(streamed); got != string(want) {
+			t.Errorf("%s: streamed result diverges from golden\ngot:\n%s\nwant:\n%s", name, got, want)
 		}
 	}
+}
+
+// drainRows runs a query through the streaming client iterator and
+// collects its rows.
+func drainRows(c *Client, sql string) (*dataset.DataSet, error) {
+	rows, err := c.QueryRows(context.Background(), sql)
+	if err != nil {
+		return nil, err
+	}
+	defer rows.Close()
+	out := &dataset.DataSet{Columns: rows.Columns()}
+	for rows.Next() {
+		out.Rows = append(out.Rows, rows.Row())
+	}
+	return out, rows.Err()
 }
 
 func TestShardedGoldenCorpus(t *testing.T) {

@@ -17,10 +17,8 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -35,60 +33,18 @@ import (
 var benchStreamJSON = flag.String("bench-stream-json", "", "merge the streaming bounded-memory drill into this BENCH_scan.json")
 
 // TestStreamGoldenDifferential drains every corpus query row by row off
-// the streaming client iterator and compares it against both the folded
-// in-process execution (buffered chunked wire below) and the checked-in
-// golden, across chain parallelism {1,4} and scan batch size {1,3,1024}.
+// the streaming client iterator and compares it, and the folded
+// execution, against the checked-in golden, across chain parallelism
+// {1,4} and scan batch size {1,3,1024} on the unsharded federation
+// (runCorpus; TestShardedGoldenCorpus runs the same at 2 and 8 shards).
 func TestStreamGoldenDifferential(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("testdata", "queries", "*.sql"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no golden queries found: %v", err)
-	}
-	sort.Strings(files)
+	files := goldenQueries(t)
 	defer eval.SetBatchSize(eval.BatchSize())
-
 	for _, par := range []int{1, 4} {
 		f := launch(t, Options{Bodies: 400, Parallelism: par})
-		c := f.Client()
 		for _, bs := range []int{1, 3, eval.DefaultBatchSize} {
 			eval.SetBatchSize(bs)
-			for _, file := range files {
-				name := fmt.Sprintf("%s/par=%d/batch=%d", filepath.Base(file), par, bs)
-				sql, err := os.ReadFile(file)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := os.ReadFile(strings.TrimSuffix(file, ".sql") + ".golden")
-				if err != nil {
-					t.Fatalf("%s: missing golden: %v", name, err)
-				}
-				folded, err := f.Query(context.Background(), string(sql))
-				if err != nil {
-					t.Errorf("%s: folded query failed: %v", name, err)
-					continue
-				}
-				rows, err := c.QueryRows(context.Background(), string(sql))
-				if err != nil {
-					t.Errorf("%s: stream open failed: %v", name, err)
-					continue
-				}
-				streamed := &dataset.DataSet{Columns: rows.Columns()}
-				for rows.Next() {
-					streamed.Rows = append(streamed.Rows, rows.Row())
-				}
-				if err := rows.Err(); err != nil {
-					t.Errorf("%s: stream failed: %v", name, err)
-					rows.Close()
-					continue
-				}
-				rows.Close()
-				got := goldenEncode(streamed)
-				if got != string(want) {
-					t.Errorf("%s: streamed result diverges from golden\ngot:\n%s\nwant:\n%s", name, got, want)
-				}
-				if fold := goldenEncode(folded); got != fold {
-					t.Errorf("%s: streamed and folded paths disagree\nstreamed:\n%s\nfolded:\n%s", name, got, fold)
-				}
-			}
+			runCorpus(t, f, files, fmt.Sprintf("par=%d/batch=%d", par, bs))
 		}
 		f.Close()
 	}
