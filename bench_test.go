@@ -289,9 +289,10 @@ func BenchmarkC3_HTMRange(b *testing.B) {
 	for _, radius := range []float64{Arcsec(60), 1, 10} {
 		c := NewCap(180, 0, radius)
 		b.Run(fmt.Sprintf("htm-r%.4gdeg", radius), func(b *testing.B) {
+			sb := &storage.SearchBatch{Rows: make([]int, 0, 1024)}
 			for i := 0; i < b.N; i++ {
 				n := 0
-				if err := tab.SearchCap(c, func(int) bool { n++; return true }); err != nil {
+				if err := tab.SearchCapBatch(c, sb, func(rows []int, _ []sphere.Vec) bool { n += len(rows); return true }); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -232,9 +232,12 @@ func C3HTMRange() (*Table, error) {
 		startHTM := time.Now()
 		reps := 5
 		var htmRows int
+		sb := &storage.SearchBatch{Rows: make([]int, 0, 1024)}
 		for r := 0; r < reps; r++ {
 			htmRows = 0
-			tab.SearchCap(c, func(int) bool { htmRows++; return true })
+			if err := tab.SearchCapBatch(c, sb, func(rows []int, _ []sphere.Vec) bool { htmRows += len(rows); return true }); err != nil {
+				return nil, err
+			}
 		}
 		htmTime := time.Since(startHTM) / time.Duration(reps)
 		// Full scan.

@@ -127,7 +127,7 @@ func atoi(t *testing.T, s string) int {
 // TestC3HTMRange asserts §5.4's claim that an HTM range search returns
 // exactly the rows a full scan finds. C3HTMRange itself fails unless the
 // two counts agree; the pinned counts run the cover walk through
-// SearchCap from 10″ to 45°.
+// SearchCapBatch from 10″ to 45°.
 func TestC3HTMRange(t *testing.T) {
 	if testing.Short() {
 		t.Skip("200000-row scans")

@@ -246,12 +246,3 @@ func resultToDataSet(res *storage.Result) *dataset.DataSet {
 	d.Rows = res.Rows
 	return d
 }
-
-// datasetSchema converts wire columns to a storage schema.
-func datasetSchema(d *dataset.DataSet) storage.Schema {
-	s := make(storage.Schema, len(d.Columns))
-	for i, c := range d.Columns {
-		s[i] = storage.ColumnDef{Name: c.Name, Type: c.Type}
-	}
-	return s
-}

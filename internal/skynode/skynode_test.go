@@ -467,17 +467,6 @@ func TestChainCrossPredicate(t *testing.T) {
 	}
 }
 
-func TestChainTempTablesCleaned(t *testing.T) {
-	_, archives, nodes, endpoints := testFederation(t, 200, defaultConfigs()[:2])
-	p := buildPlan(archives, endpoints, []int{0, 1}, nil, 3.5)
-	runChain(t, p)
-	for i, n := range nodes {
-		if got := n.cfg.DB.TempCount(); got != 0 {
-			t.Errorf("node %d: %d temp tables left behind", i, got)
-		}
-	}
-}
-
 func TestChainEvents(t *testing.T) {
 	f := survey.GenerateField(testRegion(), 100, 0.4, 55)
 	var events []string

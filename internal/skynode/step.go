@@ -175,31 +175,15 @@ func (n *Node) localStep(p *plan.Plan, step plan.Step, incoming *dataset.DataSet
 		return &dataset.DataSet{Columns: r.outCols, Rows: rows}, nil
 	}
 
-	prefix := "xm_"
 	if step.DropOut {
 		n.emit("xmatch.dropout", "%d tuples in", incoming.NumRows())
-		prefix = "xd_"
 	} else {
 		n.emit("xmatch.step", "%d tuples in", incoming.NumRows())
 	}
-	// Paper fidelity for the folded path: the incoming tuples land in a
-	// temporary table first, as §5.3's stored procedure does, and the
-	// step reads them back from it.
-	tmp, err := n.cfg.DB.CreateTemp(prefix+step.Alias, datasetSchema(incoming))
-	if err != nil {
-		return nil, err
-	}
-	defer n.cfg.DB.Drop(tmp.Name())
-	for _, row := range incoming.Rows {
-		if err := tmp.Append(row...); err != nil {
-			return nil, err
-		}
-	}
-	rows := make([][]value.Value, tmp.RowCount())
-	for i := range rows {
-		rows[i] = tmp.Row(i)
-	}
-	outRows, err := r.run(rows)
+	// The step reads the incoming tuples in place, as the streamed path
+	// does per page. §5.3's stored procedure inserts them into a temporary
+	// table first; no result depends on that copy, so the step skips it.
+	outRows, err := r.run(incoming.Rows)
 	if err != nil {
 		return nil, err
 	}
@@ -308,9 +292,8 @@ func (n *Node) newSeedRunner(p *plan.Plan, table *storage.Table, step plan.Step,
 // the tuple with every gate match that also passes the cross predicates;
 // a drop-out archive vetoes the tuple on its first gate match — the
 // "exclusive outer join" of §5.2 — and passes the rest through with their
-// schema unchanged. (The folded path parks the incoming tuples in a
-// temporary table first, as the paper's stored procedure does; see
-// localStep.)
+// schema unchanged. Both the folded and the streamed path hand it the
+// incoming tuples in place.
 func (n *Node) newCapJoinRunner(p *plan.Plan, table *storage.Table, step plan.Step, area sphere.Region,
 	localWhere sqlparse.Expr, crossWhere []sqlparse.Expr, incomingCols []dataset.Column) (*stepRunner, error) {
 
@@ -600,7 +583,7 @@ func (n *Node) columnCells(table *storage.Table, step plan.Step, row int) []valu
 			continue
 		}
 		// Unlocked read: columnCells runs inside the chain step's
-		// read-only phase (often under a Search* callback).
+		// read-only phase (often under a SearchCapBatch callback).
 		out = append(out, table.ValueUnlocked(row, ci))
 	}
 	return out

@@ -19,7 +19,9 @@ package storage
 //
 // NULL cells store their zero value in the payload (length 0 for STRING),
 // exactly mirroring the in-memory columns, so a decoded block is
-// bit-identical to the column slice pair it was flushed from.
+// bit-identical to the column slice pair it was flushed from. The header
+// is written here; each kind's payload codec sits in its colKind table
+// (typedcol.go) and is one of the functions below.
 
 import (
 	"encoding/binary"
@@ -47,51 +49,81 @@ func appendBools(dst []byte, bs []bool) []byte {
 	return dst
 }
 
-func decodeBools(data []byte, n int) ([]bool, []byte, error) {
-	nb := (n + 7) / 8
-	if len(data) < nb {
-		return nil, nil, fmt.Errorf("storage: truncated bitmap: need %d bytes, have %d", nb, len(data))
+// decodeBools unpacks an n-bit bitmap from the front of data.
+func decodeBools(data []byte, n int) ([]bool, error) {
+	if nb := (n + 7) / 8; len(data) < nb {
+		return nil, fmt.Errorf("storage: truncated bitmap: need %d bytes, have %d", nb, len(data))
 	}
 	out := make([]bool, n)
 	for i := range out {
 		out[i] = data[i/8]&(1<<(i%8)) != 0
 	}
-	return out, data[nb:], nil
+	return out, nil
 }
 
-// appendBlock encodes rows [lo, hi) of a column (memory-relative indices).
-func appendBlock(dst []byte, col column, lo, hi int) []byte {
-	n := hi - lo
-	switch c := col.(type) {
-	case *intColumn:
-		dst = append(dst, blockKindInt)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-		dst = appendBools(dst, c.nulls[lo:hi])
-		for _, v := range c.vals[lo:hi] {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
-		}
-	case *floatColumn:
-		dst = append(dst, blockKindFloat)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-		dst = appendBools(dst, c.nulls[lo:hi])
-		for _, v := range c.vals[lo:hi] {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-		}
-	case *stringColumn:
-		dst = append(dst, blockKindString)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-		dst = appendBools(dst, c.nulls[lo:hi])
-		for _, v := range c.vals[lo:hi] {
-			dst = binary.AppendUvarint(dst, uint64(len(v)))
-			dst = append(dst, v...)
-		}
-	case *boolColumn:
-		dst = append(dst, blockKindBool)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-		dst = appendBools(dst, c.nulls[lo:hi])
-		dst = appendBools(dst, c.vals[lo:hi])
+func appendInts(dst []byte, vals []int64) []byte {
+	for _, v := range vals {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 	}
 	return dst
+}
+
+func decodeInts(data []byte, n int) ([]int64, error) {
+	if len(data) < 8*n {
+		return nil, fmt.Errorf("storage: truncated INT block payload")
+	}
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
+	}
+	return vals, nil
+}
+
+func appendFloats(dst []byte, vals []float64) []byte {
+	for _, v := range vals {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
+}
+
+func decodeFloats(data []byte, n int) ([]float64, error) {
+	if len(data) < 8*n {
+		return nil, fmt.Errorf("storage: truncated FLOAT block payload")
+	}
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+	}
+	return vals, nil
+}
+
+func appendStrings(dst []byte, vals []string) []byte {
+	for _, v := range vals {
+		dst = binary.AppendUvarint(dst, uint64(len(v)))
+		dst = append(dst, v...)
+	}
+	return dst
+}
+
+func decodeStrings(data []byte, n int) ([]string, error) {
+	vals := make([]string, n)
+	for i := range vals {
+		l, k := binary.Uvarint(data)
+		if k <= 0 || uint64(len(data)-k) < l {
+			return nil, fmt.Errorf("storage: truncated STRING block payload at row %d", i)
+		}
+		vals[i] = string(data[k : k+int(l)])
+		data = data[k+int(l):]
+	}
+	return vals, nil
+}
+
+// appendBlockHeader appends an image's kind byte, row count and null
+// bitmap; the kind's payload follows.
+func appendBlockHeader(dst []byte, kind uint8, nulls []bool) []byte {
+	dst = append(dst, kind)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(nulls)))
+	return appendBools(dst, nulls)
 }
 
 // decodeBlock decodes one block image into a fresh column.
@@ -99,117 +131,38 @@ func decodeBlock(data []byte) (column, int, error) {
 	if len(data) < 5 {
 		return nil, 0, fmt.Errorf("storage: block image too short (%d bytes)", len(data))
 	}
-	kind := data[0]
 	n := int(binary.LittleEndian.Uint32(data[1:5]))
-	if n < 0 || n > ZoneBlockRows {
+	if n > ZoneBlockRows {
 		return nil, 0, fmt.Errorf("storage: block row count %d out of range", n)
 	}
-	rest := data[5:]
-	nulls, rest, err := decodeBools(rest, n)
+	nulls, err := decodeBools(data[5:], n)
 	if err != nil {
 		return nil, 0, err
 	}
-	switch kind {
+	payload := data[5+(n+7)/8:]
+	var col column
+	switch data[0] {
 	case blockKindInt:
-		if len(rest) < 8*n {
-			return nil, 0, fmt.Errorf("storage: truncated INT block payload")
-		}
-		vals := make([]int64, n)
-		for i := range vals {
-			vals[i] = int64(binary.LittleEndian.Uint64(rest[8*i:]))
-		}
-		return &intColumn{vals: vals, nulls: nulls}, n, nil
+		col, err = decodeColumn(&intKind, nulls, payload)
 	case blockKindFloat:
-		if len(rest) < 8*n {
-			return nil, 0, fmt.Errorf("storage: truncated FLOAT block payload")
-		}
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
-		}
-		return &floatColumn{vals: vals, nulls: nulls}, n, nil
+		col, err = decodeColumn(&floatKind, nulls, payload)
 	case blockKindString:
-		vals := make([]string, n)
-		for i := range vals {
-			l, k := binary.Uvarint(rest)
-			if k <= 0 || uint64(len(rest)-k) < l {
-				return nil, 0, fmt.Errorf("storage: truncated STRING block payload at row %d", i)
-			}
-			vals[i] = string(rest[k : k+int(l)])
-			rest = rest[k+int(l):]
-		}
-		return &stringColumn{vals: vals, nulls: nulls}, n, nil
+		col, err = decodeColumn(&stringKind, nulls, payload)
 	case blockKindBool:
-		vals, _, err := decodeBools(rest, n)
-		if err != nil {
-			return nil, 0, err
-		}
-		return &boolColumn{vals: vals, nulls: nulls}, n, nil
+		col, err = decodeColumn(&boolKind, nulls, payload)
+	default:
+		err = fmt.Errorf("storage: unknown block kind %d", data[0])
 	}
-	return nil, 0, fmt.Errorf("storage: unknown block kind %d", kind)
+	if err != nil {
+		return nil, 0, err
+	}
+	return col, n, nil
 }
 
-// appendColumn appends every row of src (a decoded block) onto dst. The
-// concrete types must match; they always do because both derive from the
-// same schema slot.
-func appendColumn(dst, src column) error {
-	switch d := dst.(type) {
-	case *intColumn:
-		s, ok := src.(*intColumn)
-		if !ok {
-			return fmt.Errorf("storage: block type mismatch: want INT")
-		}
-		d.vals = append(d.vals, s.vals...)
-		d.nulls = append(d.nulls, s.nulls...)
-	case *floatColumn:
-		s, ok := src.(*floatColumn)
-		if !ok {
-			return fmt.Errorf("storage: block type mismatch: want FLOAT")
-		}
-		d.vals = append(d.vals, s.vals...)
-		d.nulls = append(d.nulls, s.nulls...)
-	case *stringColumn:
-		s, ok := src.(*stringColumn)
-		if !ok {
-			return fmt.Errorf("storage: block type mismatch: want STRING")
-		}
-		d.vals = append(d.vals, s.vals...)
-		d.nulls = append(d.nulls, s.nulls...)
-	case *boolColumn:
-		s, ok := src.(*boolColumn)
-		if !ok {
-			return fmt.Errorf("storage: block type mismatch: want BOOL")
-		}
-		d.vals = append(d.vals, s.vals...)
-		d.nulls = append(d.nulls, s.nulls...)
+func decodeColumn[T cellType](k *colKind[T], nulls []bool, payload []byte) (column, error) {
+	vals, err := k.decode(payload, len(nulls))
+	if err != nil {
+		return nil, err
 	}
-	return nil
-}
-
-// blockZone computes the zone statistics of rows [lo, hi) of a column
-// (memory-relative indices); numeric is false for STRING/BOOL columns,
-// whose blocks carry no statistics.
-func blockZone(col column, lo, hi int) (z zone, numeric bool) {
-	switch c := col.(type) {
-	case *intColumn:
-		return zoneOfInts(c.vals[lo:hi], c.nulls[lo:hi]), true
-	case *floatColumn:
-		return zoneOfFloats(c.vals[lo:hi], c.nulls[lo:hi]), true
-	}
-	return zone{}, false
-}
-
-// blockStrZone is blockZone for STRING columns; isStr is false for every
-// other column type. Blocks whose bounds exceed the footer's u16 string
-// frame carry no zone (conservative: that block just never prunes).
-func blockStrZone(col column, lo, hi int) (z strZone, isStr bool) {
-	c, ok := col.(*stringColumn)
-	if !ok {
-		return strZone{}, false
-	}
-	z = zoneOfStrings(c.vals[lo:hi], c.nulls[lo:hi])
-	if len(z.min) > math.MaxUint16 || len(z.max) > math.MaxUint16 {
-		return strZone{}, false
-	}
-	return z, true
+	return &typedCol[T]{k: k, vals: vals, nulls: nulls}, nil
 }

@@ -20,9 +20,11 @@ func prunableSet(t *testing.T, tab *Table, src string) eval.PruneSet {
 	return eval.AnalyzePrune(e, tab.Layout(""), func(s int) value.Type { return tab.Schema()[s].Type })
 }
 
-// TestSearchCapBatchMatchesPerRow pins the batch search against the
-// per-row search: same rows, same order, same positions, at degenerate
-// and full batch limits, including the final partial flush.
+// TestSearchCapBatchMatchesPerRow pins the batch search against a
+// row-at-a-time full scan — the same row set, each with its own
+// position — and checks that degenerate batch limits, including the
+// final partial flush, yield the rows of a single whole-table batch in
+// the same order.
 func TestSearchCapBatchMatchesPerRow(t *testing.T) {
 	tab, err := NewTable("obj", objSchema())
 	if err != nil {
@@ -34,17 +36,24 @@ func TestSearchCapBatchMatchesPerRow(t *testing.T) {
 	}
 	c := sphere.NewCap(10, 20, 60)
 
-	var wantRows []int
-	var wantPos []sphere.Vec
-	if err := tab.SearchCapPos(c, func(row int, pos sphere.Vec) bool {
-		wantRows = append(wantRows, row)
-		wantPos = append(wantPos, pos)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
+	wantRows, wantPos := searchRows(t, tab, c)
 	if len(wantRows) == 0 {
 		t.Fatal("test cap matched no rows")
+	}
+	inCap := map[int]bool{}
+	tab.Scan(func(row int) bool {
+		if pos, _ := tab.Position(row); c.Contains(pos) {
+			inCap[row] = true
+		}
+		return true
+	})
+	if len(inCap) != len(wantRows) {
+		t.Fatalf("search found %d rows, scan %d", len(wantRows), len(inCap))
+	}
+	for i, row := range wantRows {
+		if pos, _ := tab.Position(row); !inCap[row] || pos != wantPos[i] {
+			t.Fatalf("row %d: in cap %v, position %v, want %v", row, inCap[row], wantPos[i], pos)
+		}
 	}
 
 	for _, limit := range []int{1, 7, 1024} {
@@ -110,13 +119,7 @@ func TestCandPrunerDropsDeadBlocks(t *testing.T) {
 	}
 	c := sphere.NewCap(10, 20, 60)
 
-	var unpruned []int
-	if err := tab.SearchCapPos(c, func(row int, _ sphere.Vec) bool {
-		unpruned = append(unpruned, row)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
+	unpruned, _ := searchRows(t, tab, c)
 
 	ps := prunableSet(t, tab, "object_id < 500")
 	if len(ps.Pruners) != 1 || !ps.Safe {
@@ -259,15 +262,13 @@ func TestSelectAreaCandidatePruning(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Row-at-a-time reference over the per-row search.
+	// Row-at-a-time reference over the unpruned search.
 	var want [][]value.Value
-	if err := tab.SearchCapPos(region, func(row int, _ sphere.Vec) bool {
-		if id := tab.ValueUnlocked(row, 0); !id.IsNull() && id.AsInt() < 500 {
-			want = append(want, []value.Value{tab.ValueUnlocked(row, 0), tab.ValueUnlocked(row, 3)})
+	rows, _ := searchRows(t, tab, region)
+	for _, row := range rows {
+		if id := tab.Value(row, 0); !id.IsNull() && id.AsInt() < 500 {
+			want = append(want, []value.Value{tab.Value(row, 0), tab.Value(row, 3)})
 		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
 	}
 
 	blocksBefore := CandBlocksPruned()
@@ -291,11 +292,7 @@ func TestSelectAreaCandidatePruning(t *testing.T) {
 	}
 	// Only live-block candidates may have been evaluated: strictly fewer
 	// than the cap's full candidate count.
-	var total int64
-	if err := tab.SearchCap(region, func(int) bool { total++; return true }); err != nil {
-		t.Fatal(err)
-	}
-	if d := PredRowsEvaluated() - predBefore; d >= total {
-		t.Errorf("evaluated %d candidate rows, want fewer than the cap's %d", d, total)
+	if d := PredRowsEvaluated() - predBefore; d >= int64(len(rows)) {
+		t.Errorf("evaluated %d candidate rows, want fewer than the cap's %d", d, len(rows))
 	}
 }

@@ -65,10 +65,10 @@ func (t *Table) colStatsLocked(n int) []*stats.Col {
 		}
 		base = t.persist.durable
 	} else {
-		cols = statsForSchema(t.schema)
+		cols = t.newStats()
 	}
 	for ci, col := range t.cols {
-		foldColStats(cols[ci], col, base, n, t.memBase)
+		col.foldStats(cols[ci], base, n, t.memBase)
 	}
 	return cols
 }
@@ -77,7 +77,8 @@ func (t *Table) colStatsLocked(n int) []*stats.Col {
 // region: rows whose leaf trixel intersects the cover of the region's
 // bounding cap, counted by two binary searches per cover range — no row
 // is visited, no position computed. An upper bound on the rows a
-// SearchRegion of the same region would test, at pure index-walk cost.
+// SearchRegionBatch of the same region would test, at pure index-walk
+// cost.
 func (t *Table) CountRegionCandidates(reg sphere.Region) (int, error) {
 	t.mu.RLock()
 	s := t.spatial

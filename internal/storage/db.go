@@ -3,18 +3,13 @@ package storage
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
-// DB is a named collection of tables: the database a SkyNode wraps. It
-// also manages the temporary tables the cross-match chain step creates and
-// drops (§5.3: "the Cross match service ... insert[s] the values ... into
-// a temporary table ... The temporary table is deleted").
+// DB is a named collection of tables: the database a SkyNode wraps.
 type DB struct {
-	mu      sync.RWMutex
-	tables  map[string]*Table
-	tempSeq int
+	mu     sync.RWMutex
+	tables map[string]*Table
 }
 
 // NewDB returns an empty database.
@@ -49,28 +44,6 @@ func (db *DB) addTable(t *Table) error {
 	return nil
 }
 
-// CreateTemp creates a uniquely named temporary table and returns it. Temp
-// table names begin with "#", following the SQL Server convention the
-// SkyQuery nodes used.
-func (db *DB) CreateTemp(prefix string, schema Schema) (*Table, error) {
-	db.mu.Lock()
-	db.tempSeq++
-	name := fmt.Sprintf("#%s_%d", prefix, db.tempSeq)
-	db.mu.Unlock()
-	return db.Create(name, schema)
-}
-
-// Drop removes a table.
-func (db *DB) Drop(name string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.tables[name]; !ok {
-		return fmt.Errorf("storage: table %q does not exist", name)
-	}
-	delete(db.tables, name)
-	return nil
-}
-
 // Table returns the named table.
 func (db *DB) Table(name string) (*Table, bool) {
 	db.mu.RLock()
@@ -79,30 +52,14 @@ func (db *DB) Table(name string) (*Table, bool) {
 	return t, ok
 }
 
-// Names returns the sorted names of all non-temporary tables.
+// Names returns the sorted names of all tables.
 func (db *DB) Names() []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var out []string
 	for name := range db.tables {
-		if !strings.HasPrefix(name, "#") {
-			out = append(out, name)
-		}
+		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out
-}
-
-// TempCount returns the number of live temporary tables (used by tests to
-// verify the chain step cleans up after itself).
-func (db *DB) TempCount() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	n := 0
-	for name := range db.tables {
-		if strings.HasPrefix(name, "#") {
-			n++
-		}
-	}
-	return n
 }

@@ -533,18 +533,3 @@ func exprType(t *Table, e sqlparse.Expr) value.Type {
 	}
 	return value.FloatType
 }
-
-// InsertResult bulk-appends the rows of a result into the table. Schemas
-// must be compatible (same arity; values are checked per cell).
-func (t *Table) InsertResult(res *Result) error {
-	if len(res.Columns) != len(t.schema) {
-		return fmt.Errorf("storage: insert arity mismatch: table %q has %d columns, result has %d",
-			t.name, len(t.schema), len(res.Columns))
-	}
-	for _, row := range res.Rows {
-		if err := t.Append(row...); err != nil {
-			return err
-		}
-	}
-	return nil
-}

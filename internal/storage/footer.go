@@ -54,13 +54,10 @@ const (
 
 // blockMeta locates and summarizes one sealed block in a column file.
 type blockMeta struct {
-	off     int64
-	size    uint32
-	crc     uint32
-	z       zone
-	numeric bool
-	sz      strZone
-	isStr   bool
+	off  int64
+	size uint32
+	crc  uint32
+	zoneStats
 }
 
 // htmRange is the HTM leaf-ID span of one sealed block's rows.

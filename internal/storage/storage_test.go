@@ -137,7 +137,7 @@ func TestIntFloatCoercionOnAppend(t *testing.T) {
 	}
 }
 
-func TestDBCreateDropTemp(t *testing.T) {
+func TestDBCreate(t *testing.T) {
 	db := NewDB()
 	if _, err := db.Create("a", objSchema()); err != nil {
 		t.Fatal(err)
@@ -148,29 +148,31 @@ func TestDBCreateDropTemp(t *testing.T) {
 	if _, ok := db.Table("a"); !ok {
 		t.Error("Table(a) not found")
 	}
-	tmp, err := db.CreateTemp("xm", Schema{{"x", value.IntType}})
-	if err != nil {
+	if _, err := db.Create("b", objSchema()); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(tmp.Name(), "#xm_") {
-		t.Errorf("temp name = %q", tmp.Name())
+	if names := db.Names(); len(names) != 2 || names[0] != "a" || names[1] != "b" {
+		t.Errorf("Names = %v", names)
 	}
-	if db.TempCount() != 1 {
-		t.Errorf("TempCount = %d", db.TempCount())
-	}
-	names := db.Names()
-	if len(names) != 1 || names[0] != "a" {
-		t.Errorf("Names = %v (temps must be hidden)", names)
-	}
-	if err := db.Drop(tmp.Name()); err != nil {
+}
+
+// searchRows runs SearchRegionBatch with one batch big enough for the
+// whole table and returns the rows and positions it yields, in search
+// order.
+func searchRows(t testing.TB, tab *Table, reg sphere.Region) ([]int, []sphere.Vec) {
+	t.Helper()
+	n := tab.RowCount() + 1
+	sb := &SearchBatch{Rows: make([]int, 0, n), Pos: make([]sphere.Vec, 0, n)}
+	var rows []int
+	var pos []sphere.Vec
+	if err := tab.SearchRegionBatch(reg, sb, func(r []int, p []sphere.Vec) bool {
+		rows = append(rows, r...)
+		pos = append(pos, p...)
+		return true
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if db.TempCount() != 0 {
-		t.Error("temp not dropped")
-	}
-	if err := db.Drop("nosuch"); err == nil {
-		t.Error("dropping a missing table should fail")
-	}
+	return rows, pos
 }
 
 func TestSpatialIndexMatchesFullScan(t *testing.T) {
@@ -199,8 +201,9 @@ func TestSpatialIndexMatchesFullScan(t *testing.T) {
 			return true
 		})
 		got := map[int]bool{}
-		if err := tab.SearchCap(c, func(row int) bool { got[row] = true; return true }); err != nil {
-			t.Fatal(err)
+		rows, _ := searchRows(t, tab, c)
+		for _, row := range rows {
+			got[row] = true
 		}
 		if len(got) != len(want) {
 			t.Fatalf("cap %v: index found %d rows, scan found %d", c, len(got), len(want))
@@ -225,14 +228,11 @@ func TestSpatialIndexDirtyRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	c := sphere.NewCap(123.4, 5.6, 0.01)
-	if err := tab.SearchCap(c, func(row int) bool {
+	rows, _ := searchRows(t, tab, sphere.NewCap(123.4, 5.6, 0.01))
+	for _, row := range rows {
 		if tab.Value(row, 0).AsInt() == 9999 {
 			found = true
 		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
 	}
 	if !found {
 		t.Error("appended row not found after index rebuild")
@@ -250,7 +250,8 @@ func TestSpatialErrors(t *testing.T) {
 	if err := tab.EnableSpatial(SpatialConfig{RACol: "ra", DecCol: "dec", Level: 99}); err == nil {
 		t.Error("bad level should fail")
 	}
-	if err := tab.SearchCap(sphere.NewCap(0, 0, 1), func(int) bool { return true }); err == nil {
+	sb := &SearchBatch{Rows: make([]int, 0, 8)}
+	if err := tab.SearchCapBatch(sphere.NewCap(0, 0, 1), sb, func([]int, []sphere.Vec) bool { return true }); err == nil {
 		t.Error("search without index should fail")
 	}
 	if _, err := tab.Position(0); err == nil {
@@ -277,10 +278,8 @@ func TestSearchRegionPolygon(t *testing.T) {
 		}
 		return true
 	})
-	got := 0
-	if err := tab.SearchRegion(poly, func(int) bool { got++; return true }); err != nil {
-		t.Fatal(err)
-	}
+	rows, _ := searchRows(t, tab, poly)
+	got := len(rows)
 	if got != want {
 		t.Errorf("polygon search found %d, scan found %d", got, want)
 	}
@@ -296,14 +295,15 @@ func TestSearchCapEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	if err := tab.SearchCap(sphere.NewCap(0, 0, 180), func(int) bool {
+	sb := &SearchBatch{Rows: make([]int, 0, 1)}
+	if err := tab.SearchCapBatch(sphere.NewCap(0, 0, 180), sb, func([]int, []sphere.Vec) bool {
 		n++
 		return n < 5
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if n != 5 {
-		t.Errorf("early stop visited %d rows", n)
+		t.Errorf("early stop visited %d batches", n)
 	}
 }
 
@@ -441,29 +441,6 @@ func TestExecuteUnknownTableQualifier(t *testing.T) {
 	res := execQuery(t, db, `SELECT PhotoObject.object_id FROM SDSS:PhotoObject`)
 	if len(res.Rows) != 10 {
 		t.Errorf("rows = %d", len(res.Rows))
-	}
-}
-
-func TestInsertResult(t *testing.T) {
-	db := newTestDB(t, 20)
-	res := execQuery(t, db, `SELECT o.object_id, o.flux FROM PhotoObject o WHERE o.flux > 50`)
-	tmp, err := db.CreateTemp("partial", Schema{
-		{Name: "object_id", Type: value.IntType},
-		{Name: "flux", Type: value.FloatType},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tmp.InsertResult(res); err != nil {
-		t.Fatal(err)
-	}
-	if tmp.RowCount() != len(res.Rows) {
-		t.Errorf("temp rows = %d, want %d", tmp.RowCount(), len(res.Rows))
-	}
-	// Arity mismatch must fail.
-	bad, _ := db.CreateTemp("bad", Schema{{Name: "only", Type: value.IntType}})
-	if err := bad.InsertResult(res); err == nil {
-		t.Error("arity mismatch insert should fail")
 	}
 }
 

@@ -28,14 +28,18 @@ package storage
 //
 // Hot/cold split: the most recent StoreOptions.HotBlocks sealed blocks
 // (plus the unsealed tail) stay resident in Table memory; older blocks
-// are evicted after a flush and hydrate on demand — straight into
-// eval.Vector views via the ColumnView/GatherColumn seam — through a
-// small FIFO cache of decoded blocks.
+// are evicted after a flush and hydrate on demand through a small LRU
+// cache of decoded blocks (blocklru.go). Table memory and a decoded block
+// are the same typedCol (typedcol.go): a block decodes straight into the
+// column type its table holds, so recovery appends it to memory, a flush
+// encodes and evicts a resident range, and scans view or gather a cold
+// block exactly as they do resident rows, with no conversion between.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -211,7 +215,7 @@ func (s *Store) Create(name string, schema Schema, spatial *SpatialConfig) (*Tab
 		table: t, dir: dir, opts: s.opts,
 		blocks:   make([][]blockMeta, len(schema)),
 		colSize:  make([]int64, len(schema)),
-		colStats: statsForSchema(schema),
+		colStats: t.newStats(),
 	}
 	for ci := range schema {
 		f, err := os.OpenFile(ts.colPath(ci), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -335,7 +339,7 @@ func openTableStore(dir string, opts StoreOptions) (*tableStore, RecoveryInfo, e
 	if ts.colStats == nil && ftr.durable == 0 {
 		// A pre-stats (v1) footer with nothing sealed loses no history:
 		// start maintaining statistics from the first flush.
-		ts.colStats = statsForSchema(ftr.schema)
+		ts.colStats = t.newStats()
 	}
 	ok := false
 	defer func() {
@@ -374,7 +378,7 @@ func openTableStore(dir string, opts StoreOptions) (*tableStore, RecoveryInfo, e
 			if err != nil {
 				return nil, RecoveryInfo{}, err
 			}
-			if err := appendColumn(t.cols[ci], col); err != nil {
+			if err := t.cols[ci].appendFrom(col); err != nil {
 				return nil, RecoveryInfo{}, err
 			}
 		}
@@ -401,14 +405,11 @@ func openTableStore(dir string, opts StoreOptions) (*tableStore, RecoveryInfo, e
 		replay = replay[skip:]
 	}
 	for _, vals := range replay {
-		if len(vals) != len(t.schema) || t.schema.validateRow(vals) != nil {
+		if len(vals) != len(t.cols) || t.appendRowLocked(vals) != nil {
 			// A CRC-valid record with the wrong shape can only come from
 			// torn concurrent writes or tampering; treat like a torn tail.
 			ws.torn = true
 			break
-		}
-		for ci, v := range vals {
-			t.cols[ci].append(v)
 		}
 		t.rows++
 		info.ReplayedRows++
@@ -499,10 +500,16 @@ func (ts *tableStore) flushLocked() error {
 		for b := firstB; b < lastB; b++ {
 			lo := b*ZoneBlockRows - t.memBase
 			hi := lo + ZoneBlockRows
-			buf = appendBlock(buf[:0], col, lo, hi)
-			m := blockMeta{off: ends[ci], size: uint32(len(buf)), crc: crc32.ChecksumIEEE(buf)}
-			m.z, m.numeric = blockZone(col, lo, hi)
-			m.sz, m.isStr = blockStrZone(col, lo, hi)
+			buf = col.encode(buf[:0], lo, hi)
+			m := blockMeta{
+				off: ends[ci], size: uint32(len(buf)), crc: crc32.ChecksumIEEE(buf),
+				zoneStats: col.zone(lo, hi),
+			}
+			if len(m.sz.min) > math.MaxUint16 || len(m.sz.max) > math.MaxUint16 {
+				// Bounds past the footer's u16 string frame: this block
+				// carries no zone and just never prunes.
+				m.sz, m.isStr = strZone{}, false
+			}
 			if _, err := ts.colFiles[ci].WriteAt(buf, m.off); err != nil {
 				return fmt.Errorf("storage: flush column %d: %w", ci, err)
 			}
@@ -551,7 +558,7 @@ func (ts *tableStore) flushLocked() error {
 		newStats = make([]*stats.Col, len(t.cols))
 		for ci, col := range t.cols {
 			cs := ts.colStats[ci].Clone()
-			foldColStats(cs, col, ts.durable, target, t.memBase)
+			col.foldStats(cs, ts.durable, target, t.memBase)
 			newStats[ci] = cs
 		}
 	}
@@ -602,91 +609,21 @@ func (ts *tableStore) flushLocked() error {
 	newBase = newBase / ZoneBlockRows * ZoneBlockRows
 	if newBase > t.memBase {
 		k := newBase - t.memBase
-		for ci := range t.cols {
-			dropColumnPrefix(t.cols[ci], k)
+		for _, col := range t.cols {
+			col.dropPrefix(k)
 		}
 		t.memBase = newBase
 	}
 	return nil
 }
 
-// foldColStats folds rows [lo, hi) (absolute indices, resident in
-// memory at index-memBase) of one column into maintained statistics.
-// BOOL columns track row/null counters only.
-func foldColStats(cs *stats.Col, col column, lo, hi, memBase int) {
-	switch c := col.(type) {
-	case *intColumn:
-		for r := lo; r < hi; r++ {
-			if c.nulls[r-memBase] {
-				cs.AddNull()
-			} else {
-				cs.AddNumeric(int64(r), float64(c.vals[r-memBase]))
-			}
-		}
-	case *floatColumn:
-		for r := lo; r < hi; r++ {
-			if c.nulls[r-memBase] {
-				cs.AddNull()
-			} else {
-				cs.AddNumeric(int64(r), c.vals[r-memBase])
-			}
-		}
-	case *stringColumn:
-		for r := lo; r < hi; r++ {
-			if c.nulls[r-memBase] {
-				cs.AddNull()
-			} else {
-				cs.AddString(int64(r), c.vals[r-memBase])
-			}
-		}
-	case *boolColumn:
-		for r := lo; r < hi; r++ {
-			if c.nulls[r-memBase] {
-				cs.AddNull()
-			} else {
-				cs.Rows++
-			}
-		}
-	}
-}
-
-// statsKind maps a column type to its statistics kind.
-func statsKind(t value.Type) stats.Kind {
-	switch t {
-	case value.IntType, value.FloatType:
-		return stats.KindNumeric
-	case value.StringType:
-		return stats.KindString
-	}
-	return stats.KindNone
-}
-
-// statsForSchema returns fresh, empty statistics for every column.
-func statsForSchema(schema Schema) []*stats.Col {
-	out := make([]*stats.Col, len(schema))
-	for i, def := range schema {
-		out[i] = stats.NewCol(statsKind(def.Type))
+// newStats returns fresh, empty statistics for every column.
+func (t *Table) newStats() []*stats.Col {
+	out := make([]*stats.Col, len(t.cols))
+	for ci, col := range t.cols {
+		out[ci] = stats.NewCol(col.statsKind())
 	}
 	return out
-}
-
-// dropColumnPrefix removes the first k rows of a column, copying the
-// remainder into fresh slices so evicted slabs are collectable.
-func dropColumnPrefix(col column, k int) {
-	switch c := col.(type) {
-	case *intColumn:
-		c.vals = append([]int64(nil), c.vals[k:]...)
-		c.nulls = append([]bool(nil), c.nulls[k:]...)
-	case *floatColumn:
-		c.vals = append([]float64(nil), c.vals[k:]...)
-		c.nulls = append([]bool(nil), c.nulls[k:]...)
-	case *stringColumn:
-		c.vals = append([]string(nil), c.vals[k:]...)
-		c.nulls = append([]bool(nil), c.nulls[k:]...)
-	case *boolColumn:
-		c.vals = append([]bool(nil), c.vals[k:]...)
-		c.nulls = append([]bool(nil), c.nulls[k:]...)
-	}
 }
 
 // block returns sealed block b of column ci, hydrating through the LRU
@@ -732,33 +669,4 @@ func (ts *tableStore) mustBlock(ci, b int) column {
 // coldCell returns one boxed cell from the cold tier.
 func (ts *tableStore) coldCell(ci, row int) value.Value {
 	return ts.mustBlock(ci, row/ZoneBlockRows).get(row % ZoneBlockRows)
-}
-
-// validateRow mirrors the per-column accept rules so a row is known good
-// before it is framed into the WAL.
-func (s Schema) validateRow(vals []value.Value) error {
-	for i, v := range vals {
-		if v.IsNull() {
-			continue
-		}
-		switch s[i].Type {
-		case value.IntType:
-			if v.Type() != value.IntType {
-				return fmt.Errorf("storage: column %q: cannot store %v in INT column", s[i].Name, v.Type())
-			}
-		case value.FloatType:
-			if _, ok := v.AsFloat(); !ok {
-				return fmt.Errorf("storage: column %q: cannot store %v in FLOAT column", s[i].Name, v.Type())
-			}
-		case value.StringType:
-			if v.Type() != value.StringType {
-				return fmt.Errorf("storage: column %q: cannot store %v in STRING column", s[i].Name, v.Type())
-			}
-		case value.BoolType:
-			if v.Type() != value.BoolType {
-				return fmt.Errorf("storage: column %q: cannot store %v in BOOL column", s[i].Name, v.Type())
-			}
-		}
-	}
-	return nil
 }

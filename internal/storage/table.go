@@ -1,9 +1,9 @@
 // Package storage is the embedded database engine behind each SkyNode: a
-// columnar store with typed columns, predicate scans, an HTM spatial
-// index for the range searches of §5.4, temporary tables for the
-// cross-match chain (§5.3), a small single-table SQL executor that
-// answers the Portal's performance queries, and an optional disk-backed
-// tier (Store) so archives survive restarts and grow past RAM.
+// columnar store with typed columns (typedcol.go), predicate scans, an
+// HTM spatial index for the range searches of §5.4 and the cross-match
+// chain step of §5.3, a small single-table SQL executor that answers the
+// Portal's performance queries, and an optional disk-backed tier (Store)
+// so archives survive restarts and grow past RAM.
 //
 // The paper treats component DBMSs as black boxes; this package is the
 // concrete box the reproduction ships so the federation is self-contained.
@@ -27,9 +27,9 @@
 //   - Read discipline: the typed column views (ColumnView and the
 //     Gather* helpers in typedcol.go) hand out the live backing
 //     slices. Like ValueUnlocked they must only be used inside a read
-//     context — a Scan/Search* callback, a BeginRead/EndRead section, or
-//     the federation's bulk-load-then-read phase discipline — and never
-//     written through.
+//     context — a Scan, SearchCapBatch or SearchRegionBatch callback, a
+//     BeginRead/EndRead section, or the federation's bulk-load-then-read
+//     phase discipline — and never written through.
 //   - Zone-map discipline (zonemap.go): per-ZoneBlockRows-block min/max +
 //     null-count statistics are built lazily at first scan after load and
 //     invalidated by row-count changes. A base-table scan consults them
@@ -37,11 +37,10 @@
 //     that exclude whole blocks never gather a cell or run a kernel; the
 //     pruning conditions are exact about values, NULLs, NaN and the row
 //     engines' error order. The same statistics also prune *below* the
-//     HTM searches: the batch search variants (SearchCapBatch,
-//     SearchRegionBatch) consult a CandPruner (candprune.go) per
-//     candidate row, dropping candidates from provably dead blocks before
-//     a position is computed or a cell gathered, and yield the survivors
-//     as candidate row blocks instead of per-row callbacks.
+//     HTM searches: SearchCapBatch and SearchRegionBatch consult a
+//     CandPruner (candprune.go) per candidate row, dropping candidates
+//     from provably dead blocks before a position is computed or a cell
+//     gathered, and yield the survivors as candidate row blocks.
 package storage
 
 import (
@@ -82,131 +81,6 @@ func (s Schema) Names() []string {
 		out[i] = c.Name
 	}
 	return out
-}
-
-// column is typed columnar storage with per-cell null flags.
-type column interface {
-	append(v value.Value) error
-	get(i int) value.Value
-}
-
-type intColumn struct {
-	vals  []int64
-	nulls []bool
-}
-
-func (c *intColumn) append(v value.Value) error {
-	if v.IsNull() {
-		c.vals = append(c.vals, 0)
-		c.nulls = append(c.nulls, true)
-		return nil
-	}
-	if v.Type() != value.IntType {
-		return fmt.Errorf("storage: cannot store %v in INT column", v.Type())
-	}
-	c.vals = append(c.vals, v.AsInt())
-	c.nulls = append(c.nulls, false)
-	return nil
-}
-
-func (c *intColumn) get(i int) value.Value {
-	if c.nulls[i] {
-		return value.Null
-	}
-	return value.Int(c.vals[i])
-}
-
-type floatColumn struct {
-	vals  []float64
-	nulls []bool
-}
-
-func (c *floatColumn) append(v value.Value) error {
-	if v.IsNull() {
-		c.vals = append(c.vals, 0)
-		c.nulls = append(c.nulls, true)
-		return nil
-	}
-	f, ok := v.AsFloat()
-	if !ok {
-		return fmt.Errorf("storage: cannot store %v in FLOAT column", v.Type())
-	}
-	c.vals = append(c.vals, f)
-	c.nulls = append(c.nulls, false)
-	return nil
-}
-
-func (c *floatColumn) get(i int) value.Value {
-	if c.nulls[i] {
-		return value.Null
-	}
-	return value.Float(c.vals[i])
-}
-
-type stringColumn struct {
-	vals  []string
-	nulls []bool
-}
-
-func (c *stringColumn) append(v value.Value) error {
-	if v.IsNull() {
-		c.vals = append(c.vals, "")
-		c.nulls = append(c.nulls, true)
-		return nil
-	}
-	if v.Type() != value.StringType {
-		return fmt.Errorf("storage: cannot store %v in STRING column", v.Type())
-	}
-	c.vals = append(c.vals, v.AsString())
-	c.nulls = append(c.nulls, false)
-	return nil
-}
-
-func (c *stringColumn) get(i int) value.Value {
-	if c.nulls[i] {
-		return value.Null
-	}
-	return value.String(c.vals[i])
-}
-
-type boolColumn struct {
-	vals  []bool
-	nulls []bool
-}
-
-func (c *boolColumn) append(v value.Value) error {
-	if v.IsNull() {
-		c.vals = append(c.vals, false)
-		c.nulls = append(c.nulls, true)
-		return nil
-	}
-	if v.Type() != value.BoolType {
-		return fmt.Errorf("storage: cannot store %v in BOOL column", v.Type())
-	}
-	c.vals = append(c.vals, v.AsBool())
-	c.nulls = append(c.nulls, false)
-	return nil
-}
-
-func (c *boolColumn) get(i int) value.Value {
-	if c.nulls[i] {
-		return value.Null
-	}
-	return value.Bool(c.vals[i])
-}
-
-func newColumn(t value.Type) (column, error) {
-	switch t {
-	case value.IntType:
-		return &intColumn{}, nil
-	case value.FloatType:
-		return &floatColumn{}, nil
-	case value.StringType:
-		return &stringColumn{}, nil
-	case value.BoolType:
-		return &boolColumn{}, nil
-	}
-	return nil, fmt.Errorf("storage: unsupported column type %v", t)
 }
 
 // Table is a columnar table. Concurrent readers are safe with each
@@ -292,23 +166,16 @@ func (t *Table) Append(vals ...value.Value) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	memLen := t.rows - t.memBase
-	for i, v := range vals {
-		if err := t.cols[i].append(v); err != nil {
-			// Roll back the partial row to keep columns aligned.
-			for j := 0; j < i; j++ {
-				t.truncateColumnLocked(j, memLen)
-			}
-			return fmt.Errorf("storage: table %q column %q: %w", t.name, t.schema[i].Name, err)
-		}
+	if err := t.appendRowLocked(vals); err != nil {
+		return err
 	}
 	if t.persist != nil {
 		// Log after the memory append: a crash in between loses a row that
 		// was never acknowledged, while a log failure rolls memory back, so
 		// an acknowledged row is always in both places.
 		if err := t.persist.wal.appendRow(vals); err != nil {
-			for j := range t.cols {
-				t.truncateColumnLocked(j, memLen)
+			for _, c := range t.cols {
+				c.truncate(t.rows - t.memBase)
 			}
 			return fmt.Errorf("storage: table %q: %w", t.name, err)
 		}
@@ -328,11 +195,27 @@ func (t *Table) Append(vals ...value.Value) error {
 	return nil
 }
 
+// appendRowLocked appends one schema-arity row to the columns (caller
+// holds the write lock). A cell its column cannot store rolls the
+// partial row back, keeping the columns aligned, and fails the row.
+func (t *Table) appendRowLocked(vals []value.Value) error {
+	memLen := t.rows - t.memBase
+	for i, v := range vals {
+		if err := t.cols[i].append(v); err != nil {
+			for _, c := range t.cols[:i] {
+				c.truncate(memLen)
+			}
+			return fmt.Errorf("storage: table %q column %q: %w", t.name, t.schema[i].Name, err)
+		}
+	}
+	return nil
+}
+
 // BeginRead acquires the table's read lock for a multi-call read section
 // — a sequence of ValueUnlocked/Gather*/Fill* calls that must observe a
 // consistent snapshot against concurrent appends. Pair with EndRead.
 // Do not call Append, or any locked accessor (Value, Row, RowCount,
-// Scan, Search*), from inside the section.
+// Scan, SearchCapBatch, SearchRegionBatch), from inside the section.
 func (t *Table) BeginRead() { t.mu.RLock() }
 
 // EndRead releases the read lock taken by BeginRead.
@@ -356,23 +239,6 @@ func (t *Table) rowLocked(i int) []value.Value {
 	return out
 }
 
-func (t *Table) truncateColumnLocked(i, n int) {
-	switch c := t.cols[i].(type) {
-	case *intColumn:
-		c.vals = c.vals[:n]
-		c.nulls = c.nulls[:n]
-	case *floatColumn:
-		c.vals = c.vals[:n]
-		c.nulls = c.nulls[:n]
-	case *stringColumn:
-		c.vals = c.vals[:n]
-		c.nulls = c.nulls[:n]
-	case *boolColumn:
-		c.vals = c.vals[:n]
-		c.nulls = c.nulls[:n]
-	}
-}
-
 // Value returns the cell at (row, col).
 func (t *Table) Value(row, col int) value.Value {
 	t.mu.RLock()
@@ -381,7 +247,7 @@ func (t *Table) Value(row, col int) value.Value {
 }
 
 // ValueUnlocked is Value without the read lock, for code that is already
-// inside a read context — a Search* callback, a BeginRead/EndRead
+// inside a read context — a batch search callback, a BeginRead/EndRead
 // section, or the bulk-load-then-read phase discipline the federation
 // follows (row environments created by Env read the same way). Callers
 // outside such a context must use Value.
@@ -453,22 +319,33 @@ func (t *Table) EnableSpatial(cfg SpatialConfig) error {
 	if cfg.Level == 0 {
 		cfg.Level = DefaultSpatialLevel
 	}
+	s, err := t.newSpatialIndex(cfg)
+	if err != nil {
+		return err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.spatial = s
+	t.rebuildSpatialLocked()
+	return nil
+}
+
+// newSpatialIndex checks a spatial configuration against the table: a
+// valid level and two FLOAT position columns, which positionLocked
+// reads unboxed.
+func (t *Table) newSpatialIndex(cfg SpatialConfig) (*spatialIndex, error) {
 	if cfg.Level < 1 || cfg.Level > htm.MaxLevel {
-		return fmt.Errorf("storage: spatial level %d out of range", cfg.Level)
+		return nil, fmt.Errorf("storage: spatial level %d out of range", cfg.Level)
 	}
 	ra := t.schema.Index(cfg.RACol)
 	de := t.schema.Index(cfg.DecCol)
 	if ra < 0 || de < 0 {
-		return fmt.Errorf("storage: spatial columns %q/%q not in table %q", cfg.RACol, cfg.DecCol, t.name)
+		return nil, fmt.Errorf("storage: spatial columns %q/%q not in table %q", cfg.RACol, cfg.DecCol, t.name)
 	}
 	if t.schema[ra].Type != value.FloatType || t.schema[de].Type != value.FloatType {
-		return fmt.Errorf("storage: spatial columns must be FLOAT")
+		return nil, fmt.Errorf("storage: spatial columns must be FLOAT")
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.spatial = &spatialIndex{cfg: cfg, raIdx: ra, deIdx: de}
-	t.rebuildSpatialLocked()
-	return nil
+	return &spatialIndex{cfg: cfg, raIdx: ra, deIdx: de}, nil
 }
 
 // HasSpatial reports whether the table has an HTM index.
@@ -525,10 +402,20 @@ func (t *Table) rebuildSpatialLocked() {
 	s.dirty.Store(false)
 }
 
+// positionLocked returns a row's position (read context). The searches
+// call it per candidate, so it reads the two FLOAT cells unboxed; a NULL
+// cell holds 0, the value its boxed AsFloat gives.
 func (t *Table) positionLocked(row int) sphere.Vec {
-	ra, _ := t.cellLocked(row, t.spatial.raIdx).AsFloat()
-	de, _ := t.cellLocked(row, t.spatial.deIdx).AsFloat()
-	return sphere.FromRaDec(ra, de)
+	return sphere.FromRaDec(t.floatLocked(row, t.spatial.raIdx), t.floatLocked(row, t.spatial.deIdx))
+}
+
+// floatLocked returns FLOAT column ci's cell at an absolute row.
+func (t *Table) floatLocked(row, ci int) float64 {
+	c, i := t.cols[ci], row-t.memBase
+	if row < t.memBase {
+		c, i = t.persist.mustBlock(ci, row/ZoneBlockRows), row%ZoneBlockRows
+	}
+	return c.(*typedCol[float64]).vals[i]
 }
 
 // enableSpatialSeeded is EnableSpatial for recovery: the IDs of sealed
@@ -536,20 +423,16 @@ func (t *Table) positionLocked(row int) sphere.Vec {
 // hydrate every cold block); any missing suffix — replayed WAL rows, or
 // a truncated ID file — is computed from in-memory positions.
 func (t *Table) enableSpatialSeeded(cfg SpatialConfig, ids []htm.ID) error {
-	ra := t.schema.Index(cfg.RACol)
-	de := t.schema.Index(cfg.DecCol)
-	if ra < 0 || de < 0 {
-		return fmt.Errorf("storage: spatial columns %q/%q not in table %q", cfg.RACol, cfg.DecCol, t.name)
-	}
-	if cfg.Level < 1 || cfg.Level > htm.MaxLevel {
-		return fmt.Errorf("storage: spatial level %d out of range", cfg.Level)
+	s, err := t.newSpatialIndex(cfg)
+	if err != nil {
+		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(ids) > t.rows {
 		ids = ids[:t.rows]
 	}
-	t.spatial = &spatialIndex{cfg: cfg, raIdx: ra, deIdx: de}
+	t.spatial = s
 	t.spatial.snap.Store(&spatialSnap{ids: ids[:len(ids):len(ids)], order: nil})
 	t.rebuildSpatialLocked()
 	return nil
@@ -566,36 +449,46 @@ func (t *Table) Position(row int) (sphere.Vec, error) {
 	return t.positionLocked(row), nil
 }
 
-// SearchCap calls fn with each row whose position lies inside the cap,
-// using the HTM index: inner cover trixels are accepted wholesale, partial
-// trixels are tested individually (§5.4). fn returning false stops the
-// search. Rows arrive in index (trixel) order, not row order.
+// SearchBatch carries the configuration and reusable buffers of the
+// spatial searches (SearchCapBatch, SearchRegionBatch), which yield
+// candidate row blocks.
+type SearchBatch struct {
+	// Rows and Pos are the caller-owned candidate buffers; the capacity of
+	// Rows bounds the batch size: a batch is emitted once it holds
+	// cap(Rows) candidates (the final batch may be smaller). The search
+	// appends into them and hands the filled prefixes to the callback. Pos
+	// may be nil when the caller does not need candidate positions.
+	Rows []int
+	Pos  []sphere.Vec
+	// Prune, when set, drops candidates whose zone block it proves dead —
+	// before the candidate's position is computed, before any containment
+	// test, and before the candidate can enter a batch.
+	Prune *CandPruner
+	// Accept, when set, filters candidates before buffering (the chain
+	// steps' AREA containment test). It runs after Prune.
+	Accept func(row int, pos sphere.Vec) bool
+}
+
+// SearchCapBatch is the HTM range search of §5.4: it walks the cover of
+// the cap, accepting inner cover trixels wholesale and testing the rows
+// of partial trixels individually, and hands fn the rows inside the cap
+// in batches of up to cap(sb.Rows) candidates, in index (trixel) order,
+// not row order. Zone-pruned candidates are dropped before a position is
+// computed (see SearchBatch). The slices passed to fn alias the
+// SearchBatch buffers and are only valid during the call; fn returning
+// false stops the search (no final flush).
 //
 // Searches are safe for concurrent use with other readers, including
-// callbacks that read the table (Position, Value, Row, Env lookups); the
-// parallel chain executor relies on this. Appends may run concurrently:
-// the search walks an immutable index snapshot under the read lock, so
-// it sees a consistent prefix of the table and never a fresher row.
-func (t *Table) SearchCap(c sphere.Cap, fn func(row int) bool) error {
-	return t.searchCap(c, false, nil, func(row int, _ sphere.Vec) bool { return fn(row) })
-}
-
-// SearchCapPos is SearchCap but hands the callback each row's unit-vector
-// position as well. Chain steps use it on their hot path: the search
-// already computes positions for partial-trixel containment tests, and
-// per-candidate Position calls from inside callbacks would re-take the
-// read lock for every candidate — a shared-cache-line cost that throttles
-// the parallel executor.
-func (t *Table) SearchCapPos(c sphere.Cap, fn func(row int, pos sphere.Vec) bool) error {
-	return t.searchCap(c, true, nil, fn)
-}
-
-// searchCap is the shared HTM walk behind every cap search. prune, when
-// non-nil, is consulted per candidate row before its position is computed
-// or any containment test runs: a pruned row is skipped entirely. It is
-// the hook the zone-map candidate pruning (CandPruner) plugs in under the
-// index walk.
-func (t *Table) searchCap(c sphere.Cap, needPos bool, prune func(row int) bool, fn func(row int, pos sphere.Vec) bool) error {
+// callbacks that read the table (ValueUnlocked, Gather*, Env lookups);
+// the parallel chain executor relies on this. Appends may run
+// concurrently: the search walks an immutable index snapshot under the
+// read lock, so it sees a consistent prefix of the table and never a
+// fresher row.
+func (t *Table) SearchCapBatch(c sphere.Cap, sb *SearchBatch, fn func(rows []int, pos []sphere.Vec) bool) error {
+	limit := cap(sb.Rows)
+	if limit == 0 {
+		return fmt.Errorf("storage: batch search on %q needs a row buffer with capacity", t.name)
+	}
 	t.mu.RLock()
 	s := t.spatial
 	t.mu.RUnlock()
@@ -619,84 +512,6 @@ func (t *Table) searchCap(c sphere.Cap, needPos bool, prune func(row int) bool, 
 	}
 	cov := htm.CoverCap(c, sub, s.cfg.Level)
 
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	sn := s.snap.Load()
-	cov.Each(func(r htm.Range, test bool) bool {
-		lo := sort.Search(len(sn.order), func(i int) bool { return sn.ids[sn.order[i]] >= r.Lo })
-		for i := lo; i < len(sn.order) && sn.ids[sn.order[i]] <= r.Hi; i++ {
-			row := int(sn.order[i])
-			if prune != nil && prune(row) {
-				continue
-			}
-			var pos sphere.Vec
-			if test || needPos {
-				pos = t.positionLocked(row)
-			}
-			if test && !c.Contains(pos) {
-				continue
-			}
-			if !fn(row, pos) {
-				return false
-			}
-		}
-		return true
-	})
-	return nil
-}
-
-// SearchRegion is SearchCap generalized to any region: candidates come
-// from the cover of the region's bounding cap and every candidate is
-// tested against the region itself.
-func (t *Table) SearchRegion(reg sphere.Region, fn func(row int) bool) error {
-	return t.SearchRegionPos(reg, func(row int, _ sphere.Vec) bool { return fn(row) })
-}
-
-// SearchRegionPos is SearchRegion with the position-passing callback of
-// SearchCapPos.
-func (t *Table) SearchRegionPos(reg sphere.Region, fn func(row int, pos sphere.Vec) bool) error {
-	if c, ok := reg.(sphere.Cap); ok {
-		return t.SearchCapPos(c, fn)
-	}
-	bound := reg.Bounding()
-	return t.searchCap(bound, true, nil, func(row int, pos sphere.Vec) bool {
-		if !reg.Contains(pos) {
-			return true
-		}
-		return fn(row, pos)
-	})
-}
-
-// SearchBatch carries the configuration and reusable buffers of the
-// block-aligned batch searches (SearchCapBatch, SearchRegionBatch), which
-// yield candidate row blocks instead of per-row callbacks.
-type SearchBatch struct {
-	// Rows and Pos are the caller-owned candidate buffers; the capacity of
-	// Rows bounds the batch size: a batch is emitted once it holds
-	// cap(Rows) candidates (the final batch may be smaller). The search
-	// appends into them and hands the filled prefixes to the callback. Pos
-	// may be nil when the caller does not need candidate positions.
-	Rows []int
-	Pos  []sphere.Vec
-	// Prune, when set, drops candidates whose zone block it proves dead —
-	// before the candidate's position is computed, before any containment
-	// test, and before the candidate can enter a batch.
-	Prune *CandPruner
-	// Accept, when set, filters candidates before buffering (the chain
-	// steps' AREA containment test). It runs after Prune.
-	Accept func(row int, pos sphere.Vec) bool
-}
-
-// SearchCapBatch is SearchCapPos yielding candidate row blocks: fn
-// receives batches of up to cap(sb.Rows) candidates, in search order, with
-// zone-pruned candidates already removed (see SearchBatch). The slices
-// passed to fn alias the SearchBatch buffers and are only valid during
-// the call; fn returning false stops the search (no final flush).
-func (t *Table) SearchCapBatch(c sphere.Cap, sb *SearchBatch, fn func(rows []int, pos []sphere.Vec) bool) error {
-	limit := cap(sb.Rows)
-	if limit == 0 {
-		return fmt.Errorf("storage: batch search on %q needs a row buffer with capacity", t.name)
-	}
 	sb.Rows = sb.Rows[:0]
 	if sb.Pos != nil {
 		sb.Pos = sb.Pos[:0]
@@ -710,32 +525,45 @@ func (t *Table) SearchCapBatch(c sphere.Cap, sb *SearchBatch, fn func(rows []int
 		}
 		return ok
 	}
-	var prune func(int) bool
-	if sb.Prune != nil {
-		prune = sb.Prune.Pruned
-	}
-	stopped := false
 	needPos := sb.Pos != nil || sb.Accept != nil
-	err := t.searchCap(c, needPos, prune, func(row int, pos sphere.Vec) bool {
-		if sb.Accept != nil && !sb.Accept(row, pos) {
-			return true
-		}
-		sb.Rows = append(sb.Rows, row)
-		if sb.Pos != nil {
-			sb.Pos = append(sb.Pos, pos)
-		}
-		if len(sb.Rows) >= limit {
-			if !flush() {
-				stopped = true
-				return false
+	stopped := false
+
+	// The walk holds the read lock; the final partial batch is handed
+	// over after it is released.
+	func() {
+		t.mu.RLock()
+		defer t.mu.RUnlock()
+		sn := s.snap.Load()
+		cov.Each(func(r htm.Range, test bool) bool {
+			lo := sort.Search(len(sn.order), func(i int) bool { return sn.ids[sn.order[i]] >= r.Lo })
+			for i := lo; i < len(sn.order) && sn.ids[sn.order[i]] <= r.Hi; i++ {
+				row := int(sn.order[i])
+				if sb.Prune != nil && sb.Prune.Pruned(row) {
+					continue
+				}
+				var pos sphere.Vec
+				if test || needPos {
+					pos = t.positionLocked(row)
+				}
+				if test && !c.Contains(pos) {
+					continue
+				}
+				if sb.Accept != nil && !sb.Accept(row, pos) {
+					continue
+				}
+				sb.Rows = append(sb.Rows, row)
+				if sb.Pos != nil {
+					sb.Pos = append(sb.Pos, pos)
+				}
+				if len(sb.Rows) >= limit && !flush() {
+					stopped = true
+					return false
+				}
 			}
-		}
-		return true
-	})
-	if err != nil || stopped {
-		return err
-	}
-	if len(sb.Rows) > 0 {
+			return true
+		})
+	}()
+	if !stopped && len(sb.Rows) > 0 {
 		flush()
 	}
 	return nil

@@ -49,11 +49,21 @@ type strZone struct {
 	rows     int32
 }
 
+// zoneStats is the zone of one block of one column: numeric for INT and
+// FLOAT columns, isStr for STRING ones, neither for BOOL columns (and
+// for a sealed STRING block whose bounds overflow the footer's u16
+// string frame), which never prune.
+type zoneStats struct {
+	z       zone
+	numeric bool
+	sz      strZone
+	isStr   bool
+}
+
 // zoneSet is a table's zone maps at a fixed row count.
 type zoneSet struct {
 	rows int
-	cols [][]zone    // indexed by column; nil for non-numeric columns
-	strs [][]strZone // indexed by column; nil for non-string columns
+	cols [][]zoneStats // [column][block]
 }
 
 // zoneMaps returns the zone maps covering the table's first n rows,
@@ -73,34 +83,40 @@ func (t *Table) zoneMaps(n int) *zoneSet {
 	return t.zones
 }
 
-// zoneOfInts computes one block's statistics from an INT column slice.
-func zoneOfInts(vals []int64, nulls []bool) zone {
+// zoneOfNums computes one block's statistics from an INT or FLOAT column
+// slice. Each value is widened to float64 before the min/max test: the
+// conversion is monotonic, so the widened extremes are the extremes'
+// images exactly.
+func zoneOfNums[T int64 | float64](vals []T, nulls []bool) zoneStats {
 	z := zone{rows: int32(len(vals))}
 	first := true
-	var mn, mx int64
-	for i, v := range vals {
+	for i, x := range vals {
 		if nulls[i] {
 			z.nulls++
 			continue
 		}
-		if first {
-			mn, mx, first = v, v, false
+		v := float64(x)
+		if math.IsNaN(v) {
+			z.hasNaN = true
 			continue
 		}
-		if v < mn {
-			mn = v
+		if first {
+			z.min, z.max, first = v, v, false
+			continue
 		}
-		if v > mx {
-			mx = v
+		if v < z.min {
+			z.min = v
+		}
+		if v > z.max {
+			z.max = v
 		}
 	}
-	z.min, z.max = float64(mn), float64(mx)
-	return z
+	return zoneStats{z: z, numeric: true}
 }
 
 // zoneOfStrings computes one block's statistics from a STRING column
 // slice (byte-wise min/max, the order value.Compare uses on strings).
-func zoneOfStrings(vals []string, nulls []bool) strZone {
+func zoneOfStrings(vals []string, nulls []bool) zoneStats {
 	z := strZone{rows: int32(len(vals))}
 	first := true
 	for i, v := range vals {
@@ -119,34 +135,7 @@ func zoneOfStrings(vals []string, nulls []bool) strZone {
 			z.max = v
 		}
 	}
-	return z
-}
-
-// zoneOfFloats is zoneOfInts for FLOAT columns (NaN-aware).
-func zoneOfFloats(vals []float64, nulls []bool) zone {
-	z := zone{rows: int32(len(vals))}
-	first := true
-	for i, v := range vals {
-		if nulls[i] {
-			z.nulls++
-			continue
-		}
-		if math.IsNaN(v) {
-			z.hasNaN = true
-			continue
-		}
-		if first {
-			z.min, z.max, first = v, v, false
-			continue
-		}
-		if v < z.min {
-			z.min = v
-		}
-		if v > z.max {
-			z.max = v
-		}
-	}
-	return z
+	return zoneStats{sz: z, isStr: true}
 }
 
 // buildZoneSet computes the per-block statistics of the first n rows
@@ -156,47 +145,20 @@ func zoneOfFloats(vals []float64, nulls []bool) zone {
 // the seal) the full-block statistics stand in: wider min/max and extra
 // null counts only make pruning more conservative, never wrong.
 func buildZoneSet(t *Table, n int) *zoneSet {
-	zs := &zoneSet{rows: n, cols: make([][]zone, len(t.cols)), strs: make([][]strZone, len(t.cols))}
+	zs := &zoneSet{rows: n, cols: make([][]zoneStats, len(t.cols))}
 	nBlocks := (n + ZoneBlockRows - 1) / ZoneBlockRows
 	for ci, col := range t.cols {
-		switch c := col.(type) {
-		case *intColumn:
-			blocks := make([]zone, nBlocks)
-			for b := range blocks {
-				lo := b * ZoneBlockRows
-				hi := min(lo+ZoneBlockRows, n)
-				if hi <= t.memBase {
-					blocks[b] = t.persist.blocks[ci][b].z
-					continue
-				}
-				blocks[b] = zoneOfInts(c.vals[lo-t.memBase:hi-t.memBase], c.nulls[lo-t.memBase:hi-t.memBase])
+		blocks := make([]zoneStats, nBlocks)
+		for b := range blocks {
+			lo := b * ZoneBlockRows
+			hi := min(lo+ZoneBlockRows, n)
+			if hi <= t.memBase {
+				blocks[b] = t.persist.blocks[ci][b].zoneStats
+				continue
 			}
-			zs.cols[ci] = blocks
-		case *floatColumn:
-			blocks := make([]zone, nBlocks)
-			for b := range blocks {
-				lo := b * ZoneBlockRows
-				hi := min(lo+ZoneBlockRows, n)
-				if hi <= t.memBase {
-					blocks[b] = t.persist.blocks[ci][b].z
-					continue
-				}
-				blocks[b] = zoneOfFloats(c.vals[lo-t.memBase:hi-t.memBase], c.nulls[lo-t.memBase:hi-t.memBase])
-			}
-			zs.cols[ci] = blocks
-		case *stringColumn:
-			blocks := make([]strZone, nBlocks)
-			for b := range blocks {
-				lo := b * ZoneBlockRows
-				hi := min(lo+ZoneBlockRows, n)
-				if hi <= t.memBase {
-					blocks[b] = t.persist.blocks[ci][b].sz
-					continue
-				}
-				blocks[b] = zoneOfStrings(c.vals[lo-t.memBase:hi-t.memBase], c.nulls[lo-t.memBase:hi-t.memBase])
-			}
-			zs.strs[ci] = blocks
+			blocks[b] = col.zone(lo-t.memBase, hi-t.memBase)
 		}
+		zs.cols[ci] = blocks
 	}
 	return zs
 }
@@ -206,26 +168,23 @@ func buildZoneSet(t *Table, n int) *zoneSet {
 // block, under the error-exactness conditions documented above.
 func (zs *zoneSet) prunable(b int, ps eval.PruneSet) bool {
 	for _, p := range ps.Pruners {
+		if p.Slot >= len(zs.cols) || b >= len(zs.cols[p.Slot]) {
+			continue
+		}
+		s := &zs.cols[p.Slot][b]
 		var allNull, rangeDead bool
 		var nulls int32
 		if p.IsStr {
-			if p.Slot >= len(zs.strs) || zs.strs[p.Slot] == nil || b >= len(zs.strs[p.Slot]) {
-				continue
-			}
-			z := zs.strs[p.Slot][b]
-			if z.rows == 0 {
+			z := s.sz
+			if !s.isStr || z.rows == 0 {
 				continue
 			}
 			nulls = z.nulls
 			allNull = z.nulls == z.rows
 			rangeDead = !allNull && p.NeverTrueStr(z.min, z.max)
 		} else {
-			blocks := zs.cols[p.Slot]
-			if blocks == nil || b >= len(blocks) {
-				continue
-			}
-			z := blocks[b]
-			if z.rows == 0 {
+			z := s.z
+			if !s.numeric || z.rows == 0 {
 				continue
 			}
 			nulls = z.nulls
