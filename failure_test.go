@@ -146,11 +146,14 @@ func TestMessageLimitKillsBigUnchunkedResult(t *testing.T) {
 	// A federation whose servers accept only tiny messages but whose
 	// chunking is disabled-ish (huge ChunkRows): the chain transfer must
 	// fail with the parser-limit error, reproducing §6 before the
-	// workaround existed.
+	// workaround existed. It runs on the paper's XML wire, where every
+	// transfer is a message; a binary hop streams its pages, and a
+	// stream has no message to limit.
 	f, err := Launch(Options{
 		Bodies:       800,
 		MessageLimit: 16 << 10, // 16 KB "parser"
 		ChunkRows:    1 << 20,  // effectively no chunking
+		Codec:        CodecXML,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -171,6 +174,7 @@ func TestMessageLimitKillsBigUnchunkedResult(t *testing.T) {
 		Bodies:       800,
 		MessageLimit: 16 << 10,
 		ChunkRows:    50,
+		Codec:        CodecXML,
 	})
 	if err != nil {
 		t.Fatal(err)

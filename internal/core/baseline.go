@@ -31,7 +31,7 @@ func (e *Engine) PullExecute(ctx context.Context, sql string) (*dataset.DataSet,
 		return nil, err
 	}
 	if q.XMatch == nil {
-		return e.passThrough(ctx, q)
+		return drained(e.ExecutePreparedStream(ctx, &Prepared{q: q}))
 	}
 	// Reuse the planner for validation, archive resolution and ordering.
 	// The pull baseline still needs count-star probes to pick the same
@@ -50,7 +50,7 @@ func (e *Engine) PullExecute(ctx context.Context, sql string) (*dataset.DataSet,
 			return nil, err
 		}
 		sqlText := pullQuery(a, step, q)
-		ds, err := e.Services.TableQuery(ctx, a, sqlText)
+		ds, err := drained(e.Services.TableQueryStream(ctx, a, sqlText))
 		if err != nil {
 			return nil, fmt.Errorf("core: pull from %s: %w", step.Archive, err)
 		}
@@ -78,7 +78,7 @@ func (e *Engine) PullExecute(ctx context.Context, sql string) (*dataset.DataSet,
 			return nil, err
 		}
 	}
-	return e.project(q, tuples)
+	return drained(e.projectStream(q, NewSliceStream(tuples, e.chunkRows())))
 }
 
 // pullQuery builds the per-archive query the baseline sends: the needed

@@ -31,7 +31,7 @@ type fakeServices struct {
 	counts     map[string]int64 // archive -> count
 	countCalls []string         // SQL of each count probe
 	crossPlans []*plan.Plan
-	tuples     *dataset.DataSet // returned by CrossMatch
+	tuples     *dataset.DataSet // streamed by CrossMatchStream
 	tableCalls []string
 	tableData  *dataset.DataSet
 }
@@ -43,24 +43,24 @@ func (s *fakeServices) CountStar(ctx context.Context, a *Archive, sql string, ar
 	return s.counts[a.Name], nil
 }
 
-func (s *fakeServices) CrossMatch(ctx context.Context, p *plan.Plan) (*dataset.DataSet, error) {
+func (s *fakeServices) CrossMatchStream(ctx context.Context, p *plan.Plan) (TupleStream, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.crossPlans = append(s.crossPlans, p)
 	if s.tuples != nil {
-		return s.tuples, nil
+		return NewSliceStream(s.tuples, 0), nil
 	}
-	return &dataset.DataSet{Columns: xmatch.AccColumns()}, nil
+	return NewSliceStream(&dataset.DataSet{Columns: xmatch.AccColumns()}, 0), nil
 }
 
-func (s *fakeServices) TableQuery(ctx context.Context, a *Archive, sql string) (*dataset.DataSet, error) {
+func (s *fakeServices) TableQueryStream(ctx context.Context, a *Archive, sql string) (TupleStream, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tableCalls = append(s.tableCalls, a.Name+": "+sql)
 	if s.tableData != nil {
-		return s.tableData, nil
+		return NewSliceStream(s.tableData, 0), nil
 	}
-	return dataset.New(dataset.Column{Name: "x", Type: value.IntType}), nil
+	return NewSliceStream(dataset.New(dataset.Column{Name: "x", Type: value.IntType}), 0), nil
 }
 
 func testCatalog() fakeCatalog {
@@ -360,5 +360,55 @@ func TestMalformedTupleSet(t *testing.T) {
 		WHERE AREA(185, -0.5, 900) AND XMATCH(O, T) < 3.5`
 	if _, err := e.Execute(context.Background(), sql); err == nil || !strings.Contains(err.Error(), "malformed") {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// brokenStream delivers one page, then fails.
+type brokenStream struct {
+	*SliceStream
+	pages  int
+	closed bool
+}
+
+func (s *brokenStream) Next() ([][]value.Value, error) {
+	if s.pages++; s.pages > 1 {
+		return nil, fmt.Errorf("node died mid-transfer")
+	}
+	return s.SliceStream.Next()
+}
+
+func (s *brokenStream) Close() error {
+	s.closed = true
+	return nil
+}
+
+// failServices streams the chain's tuples through a brokenStream.
+type failServices struct {
+	*fakeServices
+	stream *brokenStream
+}
+
+func (s *failServices) CrossMatchStream(ctx context.Context, p *plan.Plan) (TupleStream, error) {
+	return s.stream, nil
+}
+
+// TestExecuteChainFailure: a chain stream that fails after its first page
+// fails the drained execution with its error, and the transfer is closed.
+func TestExecuteChainFailure(t *testing.T) {
+	e, svc := newEngine(map[string]int64{"SDSS": 10, "TWOMASS": 20, "FIRST": 30})
+	cols := []dataset.Column{
+		{Name: "O.object_id", Type: value.IntType},
+		{Name: "T.object_id", Type: value.IntType},
+		{Name: "O.flux", Type: value.FloatType},
+		{Name: "T.flux", Type: value.FloatType},
+	}
+	row := []value.Value{value.Int(1), value.Int(2), value.Float(9), value.Float(4)}
+	bs := &brokenStream{SliceStream: NewSliceStream(tupleSet(cols, row), 1)}
+	e.Services = &failServices{fakeServices: svc, stream: bs}
+	if _, err := e.Execute(context.Background(), testSQL); err == nil || !strings.Contains(err.Error(), "node died") {
+		t.Errorf("err = %v", err)
+	}
+	if !bs.closed {
+		t.Error("failed chain stream was not closed")
 	}
 }

@@ -6,6 +6,12 @@
 // archives by decreasing count), launches the daisy chain, and projects
 // the final tuples into the client-visible result.
 //
+// Every execution is a page stream (ExecutePreparedStream): the chain's
+// tuples arrive page by page and each page is projected as it comes. A
+// caller that needs the whole result drains the stream (Execute); a
+// remote client's Accept decides whether the pages reach it streamed or
+// parked as chunks.
+//
 // The engine is transport-agnostic: the Portal provides SOAP-backed
 // implementations of Catalog and Services, while tests and benchmarks can
 // plug in in-process fakes. The pull-to-portal baseline executor — the
@@ -52,19 +58,23 @@ type Catalog interface {
 
 // Services performs the remote operations of the federation. Every
 // method takes the query's context first: cancelling it aborts the
-// in-flight HTTP exchanges behind the call.
+// in-flight HTTP exchanges behind the call. Bulk results come back as
+// page streams; a caller that wants them whole drains them
+// (dataset.Drain).
 type Services interface {
 	// CountStar runs a performance query (SELECT COUNT(*) ...) at the
 	// archive and returns the bound. area is the query's AREA clause,
 	// passed structurally so a sharded backend can route the probe to
 	// only the shards whose trixel ranges the area covers.
 	CountStar(ctx context.Context, a *Archive, sql string, area plan.Area) (int64, error)
-	// CrossMatch hands the plan to the first step's node and returns the
-	// final partial-tuple set that flowed back up the chain.
-	CrossMatch(ctx context.Context, p *plan.Plan) (*dataset.DataSet, error)
-	// TableQuery runs a complete single-archive query and returns its
-	// rows (used for pass-through queries and the pull baseline).
-	TableQuery(ctx context.Context, a *Archive, sql string) (*dataset.DataSet, error)
+	// CrossMatchStream hands the plan to the first step's node and
+	// returns the partial tuples flowing back up the chain as a page
+	// stream.
+	CrossMatchStream(ctx context.Context, p *plan.Plan) (TupleStream, error)
+	// TableQueryStream runs a complete single-archive query and returns
+	// its rows as a page stream (used for pass-through queries and the
+	// pull baseline).
+	TableQueryStream(ctx context.Context, a *Archive, sql string) (TupleStream, error)
 }
 
 // StatsProbe is the planner's statistics request for one archive: the
@@ -164,14 +174,23 @@ type Prepared struct {
 	plan *plan.Plan // nil for pass-through (non-XMATCH) queries
 }
 
-// Execute parses and runs a query, returning the final result set.
-// Cancelling ctx aborts the probes and the chain mid-flight.
+// Execute parses and runs a query, returning the final result set: the
+// page stream of ExecutePreparedStream, drained. Cancelling ctx aborts
+// the probes and the chain mid-flight.
 func (e *Engine) Execute(ctx context.Context, sql string) (*dataset.DataSet, error) {
 	prep, err := e.Prepare(ctx, sql)
 	if err != nil {
 		return nil, err
 	}
-	return e.ExecutePrepared(ctx, prep)
+	return drained(e.ExecutePreparedStream(ctx, prep))
+}
+
+// drained drains the page stream an execution opened.
+func drained(ts TupleStream, err error) (*dataset.DataSet, error) {
+	if err != nil {
+		return nil, err
+	}
+	return dataset.Drain(ts)
 }
 
 // Prepare parses, validates, and plans a query without executing it.
@@ -206,28 +225,6 @@ func (e *Engine) EmitSubmit(sql string) {
 	e.emit("submit", "%s", strings.TrimSpace(sql))
 }
 
-// ExecutePrepared runs a previously prepared query. Cross-match plans
-// are executed on a copy stamped with a fresh query ID; the Prepared
-// itself is never mutated and stays valid for further executions.
-func (e *Engine) ExecutePrepared(ctx context.Context, prep *Prepared) (*dataset.DataSet, error) {
-	if prep.plan == nil {
-		return e.passThrough(ctx, prep.q)
-	}
-	pl := *prep.plan
-	pl.QueryID = e.queryID()
-	e.emit("execute", "chain: %s", &pl)
-	tuples, err := e.Services.CrossMatch(ctx, &pl)
-	if err != nil {
-		return nil, err
-	}
-	res, err := e.project(prep.q, tuples)
-	if err != nil {
-		return nil, err
-	}
-	e.emit("relay", "%d rows to client", res.NumRows())
-	return res, nil
-}
-
 // passThroughTarget resolves a non-XMATCH query to its single archive
 // and the local query text the node should run (archive qualifier
 // stripped: the node sees its local table name).
@@ -249,21 +246,6 @@ func (e *Engine) passThroughTarget(q *sqlparse.Query) (*Archive, string, error) 
 	local := *q
 	local.From = []sqlparse.TableRef{{Table: ref.Table, Alias: ref.Alias}}
 	return a, local.String(), nil
-}
-
-// passThrough relays a non-XMATCH query to its single archive.
-func (e *Engine) passThrough(ctx context.Context, q *sqlparse.Query) (*dataset.DataSet, error) {
-	a, local, err := e.passThroughTarget(q)
-	if err != nil {
-		return nil, err
-	}
-	e.emit("execute", "pass-through to %s", a.Name)
-	res, err := e.Services.TableQuery(ctx, a, local)
-	if err != nil {
-		return nil, err
-	}
-	e.emit("relay", "%d rows to client", res.NumRows())
-	return res, nil
 }
 
 // queryID returns a fresh plan identifier.

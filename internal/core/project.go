@@ -28,9 +28,8 @@ import (
 //     (and TOP truncates after the sort).
 //
 // Page boundaries never affect the produced cells — each page is
-// evaluated in chunks of eval.BatchSize exactly as the folded path
-// chunked the whole set — which is what keeps the streamed and folded
-// results bit-identical.
+// evaluated in chunks of eval.BatchSize, as one whole-set page would be
+// — which is what keeps results bit-identical at every page size.
 type projector struct {
 	outCols      []dataset.Column
 	count        bool
@@ -257,30 +256,6 @@ func (pr *projector) close() {
 		ev.Release()
 	}
 	pr.evs = nil
-}
-
-// project evaluates the query's select list over a fully materialized
-// tuple set (the folded path): one page through the projector, then
-// finish. The streaming path feeds the same projector page by page
-// instead (see ExecutePreparedStream).
-func (e *Engine) project(q *sqlparse.Query, tuples *dataset.DataSet) (*dataset.DataSet, error) {
-	pr, err := e.newProjector(q, tuples.Columns)
-	if err != nil {
-		return nil, err
-	}
-	defer pr.close()
-	out := &dataset.DataSet{Columns: pr.outCols}
-	head, err := pr.page(tuples.Rows)
-	if err != nil {
-		return nil, err
-	}
-	out.Rows = head
-	tail, err := pr.finish(q.OrderBy)
-	if err != nil {
-		return nil, err
-	}
-	out.Rows = append(out.Rows, tail...)
-	return out, nil
 }
 
 // projType infers a column type for a projected expression from the tuple

@@ -1,79 +1,56 @@
 package core
 
-// Streaming execution. The folded path materializes the chain's whole
-// partial-tuple set at the portal before projecting it; here the engine
-// instead pulls pages off a TupleStream as the chain produces them and
-// projects each page through the same compiled projector, so the
-// portal's peak memory is one page (plus the ORDER BY buffer when the
-// query sorts) and the first result rows leave for the client before
-// the chain has finished. Services that can deliver pages implement
-// StreamServices; against a Services that cannot, ExecutePreparedStream
-// degrades to the folded execution re-paged locally, so callers get one
-// iterator shape either way.
+// Execution. Every query runs as a page stream: the engine pulls pages
+// off the chain's TupleStream as the nodes produce them and projects
+// each page through the compiled projector, so the portal's peak memory
+// is one page (plus the ORDER BY buffer when the query sorts) and the
+// first result rows leave for the client before the chain has finished.
+// A caller that needs the whole result drains the stream (Execute,
+// dataset.Drain); whether the pages reach a remote client as a stream
+// or as parked chunks is decided by that client's Accept.
 
 import (
 	"context"
 
 	"skyquery/internal/dataset"
-	"skyquery/internal/plan"
 	"skyquery/internal/sqlparse"
 	"skyquery/internal/value"
 )
 
-// TupleStream delivers a bulk result page by page: Columns is the
-// schema, Next returns the next page of rows ((nil, nil) after the
-// last), Close releases the transfer (abandoning early is legal).
-type TupleStream interface {
-	Columns() []dataset.Column
-	Next() ([][]value.Value, error)
-	Close() error
-}
-
-// StreamServices is optionally implemented by a Services whose bulk
-// operations can deliver pages as the remote nodes produce them.
-type StreamServices interface {
-	// CrossMatchStream hands the plan to the first step's node and
-	// returns the partial tuples flowing back as a page stream.
-	CrossMatchStream(ctx context.Context, p *plan.Plan) (TupleStream, error)
-	// TableQueryStream runs a complete single-archive query and returns
-	// its rows as a page stream.
-	TableQueryStream(ctx context.Context, a *Archive, sql string) (TupleStream, error)
-}
+// TupleStream delivers a bulk result page by page (see dataset.Pages).
+type TupleStream = dataset.Pages
 
 // ExecutePreparedStream runs a previously prepared query and returns
-// the result as a page stream. Result rows are bit-identical to
-// ExecutePrepared's — both paths share the compiled projector — but
-// they reach the caller page by page, before the chain completes.
+// the result as a page stream. Cross-match plans run on a copy stamped
+// with a fresh query ID; the Prepared itself is never mutated and stays
+// valid for further executions.
 func (e *Engine) ExecutePreparedStream(ctx context.Context, prep *Prepared) (TupleStream, error) {
-	ss, ok := e.Services.(StreamServices)
-	if !ok {
-		ds, err := e.ExecutePrepared(ctx, prep)
-		if err != nil {
-			return nil, err
-		}
-		return NewSliceStream(ds, e.chunkRows()), nil
-	}
 	if prep.plan == nil {
 		a, local, err := e.passThroughTarget(prep.q)
 		if err != nil {
 			return nil, err
 		}
-		e.emit("execute", "pass-through to %s (streaming)", a.Name)
-		return ss.TableQueryStream(ctx, a, local)
+		e.emit("execute", "pass-through to %s", a.Name)
+		return e.Services.TableQueryStream(ctx, a, local)
 	}
 	pl := *prep.plan
 	pl.QueryID = e.queryID()
-	e.emit("execute", "chain: %s (streaming)", &pl)
-	ts, err := ss.CrossMatchStream(ctx, &pl)
+	e.emit("execute", "chain: %s", &pl)
+	ts, err := e.Services.CrossMatchStream(ctx, &pl)
 	if err != nil {
 		return nil, err
 	}
-	pr, err := e.newProjector(prep.q, ts.Columns())
+	return e.projectStream(prep.q, ts)
+}
+
+// projectStream projects the tuple pages of src into result pages.
+func (e *Engine) projectStream(q *sqlparse.Query, src TupleStream) (TupleStream, error) {
+	pr, err := e.newProjector(q, src.Columns())
 	if err != nil {
-		ts.Close()
+		src.Close()
 		return nil, err
 	}
-	return &projectStream{e: e, q: prep.q, src: ts, pr: pr}, nil
+	return &projectStream{e: e, q: q, src: src, pr: pr}, nil
 }
 
 // projectStream pulls tuple pages off the chain stream and projects
@@ -173,7 +150,8 @@ func (s *projectStream) release() {
 }
 
 // SliceStream adapts a materialized data set to the TupleStream shape,
-// re-paged at chunkRows rows. It backs the non-streaming fallback.
+// re-paged at chunkRows rows: the sharded chain's merged result, which
+// the portal coordinates whole, leaves through one.
 type SliceStream struct {
 	cols  []dataset.Column
 	rows  [][]value.Value

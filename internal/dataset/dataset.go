@@ -101,6 +101,32 @@ func Join(chunks []*DataSet) (*DataSet, error) {
 	return out, nil
 }
 
+// Pages is a bulk result delivered page by page: Columns is the schema,
+// Next returns the next page of rows ((nil, nil) after the last), and
+// Close releases the transfer (abandoning it early is legal).
+type Pages interface {
+	Columns() []Column
+	Next() ([][]value.Value, error)
+	Close() error
+}
+
+// Drain reads every remaining page of p into one data set and closes p:
+// how a caller that cannot consume pages gets the whole result.
+func Drain(p Pages) (*DataSet, error) {
+	defer p.Close()
+	out := &DataSet{Columns: p.Columns()}
+	for {
+		page, err := p.Next()
+		if err != nil {
+			return nil, err
+		}
+		if page == nil {
+			return out, nil
+		}
+		out.Rows = append(out.Rows, page...)
+	}
+}
+
 // The XML wire format (hand-rolled for speed — partial-tuple transfer
 // between chain nodes is the federation's hottest serialization path, and
 // encoding/xml's reflection layer was ~4× slower on both directions):

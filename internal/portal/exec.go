@@ -37,21 +37,20 @@ func (p *Portal) engine() *core.Engine {
 }
 
 // Query executes a query (cross-match or single-archive) and returns the
-// final result set. Repeated submissions of the same query (under any
-// formatting) replay its cached prepared form, skipping parse, validate,
-// plan, and the count-star performance probes.
+// final result set: QueryStream's pages, drained.
 func (p *Portal) Query(ctx context.Context, sql string) (*dataset.DataSet, error) {
-	prep, err := p.prepared(ctx, sql)
+	ts, err := p.QueryStream(ctx, sql)
 	if err != nil {
 		return nil, err
 	}
-	return p.engine().ExecutePrepared(ctx, prep)
+	return dataset.Drain(ts)
 }
 
 // QueryStream executes a query and returns the result as a page stream:
 // rows reach the caller as the chain produces them, and the Portal holds
-// one page at a time instead of the folded result. Plan caching works
-// exactly as in Query.
+// one page at a time. Repeated submissions of the same query (under any
+// formatting) replay its cached prepared form, skipping parse, validate,
+// plan, and the count-star performance probes.
 func (p *Portal) QueryStream(ctx context.Context, sql string) (core.TupleStream, error) {
 	prep, err := p.prepared(ctx, sql)
 	if err != nil {
@@ -187,7 +186,7 @@ func (s *portalServices) CountStar(ctx context.Context, a *core.Archive, sql str
 	if m := s.p.shardMapFor(a.Name); m != nil {
 		return s.p.scatterCount(ctx, m, sql, &area)
 	}
-	ds, err := s.TableQuery(ctx, a, sql)
+	ds, err := s.p.fetchQuery(ctx, a.Endpoint, sql)
 	if err != nil {
 		return 0, err
 	}
@@ -251,53 +250,31 @@ func (s *portalServices) ObservedThroughput(endpoint string) float64 {
 	return nettrace.ObservedThroughput(u.Host)
 }
 
-// TableQuery implements core.Services via the node's Query service,
-// draining chunked responses.
-func (s *portalServices) TableQuery(ctx context.Context, a *core.Archive, sql string) (*dataset.DataSet, error) {
-	if m := s.p.shardMapFor(a.Name); m != nil {
-		return s.p.scatterTableQuery(ctx, m, sql)
-	}
-	var first soap.ChunkedData
-	if err := s.p.client.Call(ctx, a.Endpoint, skynode.ActionQuery, &skynode.QueryRequest{SQL: sql}, &first); err != nil {
-		return nil, err
-	}
-	return soap.FetchAll(ctx, s.p.client, a.Endpoint, &first)
-}
-
-// CrossMatch implements core.Services: it sends the plan to the first
-// step's node and drains the chunked tuple response.
-func (s *portalServices) CrossMatch(ctx context.Context, pl *plan.Plan) (*dataset.DataSet, error) {
-	if s.p.planSharded(pl) {
-		return s.p.scatterCrossMatch(ctx, pl)
-	}
-	firstStep := pl.Steps[0]
-	var first soap.ChunkedData
-	if err := s.p.client.Call(ctx, firstStep.Endpoint, skynode.ActionCrossMatch,
-		&skynode.CrossMatchRequest{Plan: *pl}, &first); err != nil {
-		return nil, err
-	}
-	return soap.FetchAll(ctx, s.p.client, firstStep.Endpoint, &first)
-}
-
-// CrossMatchStream implements core.StreamServices: the chain's partial
-// tuples flow back page by page, each chain node holding only its
-// in-flight page. A node that cannot stream degrades transparently to
-// chunk-by-chunk fetching inside the PageStream.
+// CrossMatchStream implements core.Services: the chain's partial tuples
+// flow back page by page, each chain node holding only its in-flight
+// page. A plan over a sharded archive runs under portal coordination,
+// which merges each step's shard outputs whole (the ordinal merge needs
+// them; a v1 trade-off documented in docs/FEDERATION.md), so its final
+// result is re-paged.
 func (s *portalServices) CrossMatchStream(ctx context.Context, pl *plan.Plan) (core.TupleStream, error) {
 	if s.p.planSharded(pl) {
-		return s.p.scatterCrossMatchStream(ctx, pl)
+		ds, err := s.p.runShardedChain(ctx, pl)
+		if err != nil {
+			return nil, err
+		}
+		return core.NewSliceStream(ds, s.p.cfg.ChunkRows), nil
 	}
 	firstStep := pl.Steps[0]
 	return soap.OpenStream(ctx, s.p.client, firstStep.Endpoint, skynode.ActionCrossMatch,
 		&skynode.CrossMatchRequest{Plan: *pl})
 }
 
-// TableQueryStream implements core.StreamServices via the node's Query
+// TableQueryStream implements core.Services via the node's Query
 // service.
 func (s *portalServices) TableQueryStream(ctx context.Context, a *core.Archive, sql string) (core.TupleStream, error) {
 	if m := s.p.shardMapFor(a.Name); m != nil {
 		// A sharded pass-through may need a portal-side global sort, so
-		// it folds; the result is re-paged for the iterator shape.
+		// it merges whole; the result is re-paged.
 		ds, err := s.p.scatterTableQuery(ctx, m, sql)
 		if err != nil {
 			return nil, err

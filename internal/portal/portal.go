@@ -245,43 +245,32 @@ func (p *Portal) handleSkyQuery(r *soap.Request) (interface{}, error) {
 		return nil, err
 	}
 	ctx := r.Context()
-	if r.WantsStream() {
-		// Prepare (parse, validate, plan, count-star probes) and open the
-		// chain before the response starts, so those failures still travel
-		// as ordinary XML faults; only errors after the first byte go
-		// in-band as columnar error frames.
-		prep, err := p.prepared(ctx, req.SQL)
-		if err != nil {
-			return nil, err
-		}
-		ts, err := p.engine().ExecutePreparedStream(ctx, prep)
-		if err != nil {
-			return nil, err
-		}
-		return &soap.ChunkedStream{Run: func(sw *soap.StreamWriter) error {
-			defer ts.Close()
-			if err := sw.Schema(ts.Columns()); err != nil {
-				return err
-			}
-			for {
-				page, err := ts.Next()
-				if err != nil {
-					return err
-				}
-				if page == nil {
-					return nil
-				}
-				if err := sw.Page(page); err != nil {
-					return err
-				}
-			}
-		}}, nil
-	}
-	res, err := p.Query(ctx, req.SQL)
+	// Prepare (parse, validate, plan, count-star probes) and open the
+	// chain before the reply starts, so those failures still travel as
+	// ordinary XML faults; only errors after the first streamed byte go
+	// in-band as columnar error frames.
+	ts, err := p.QueryStream(ctx, req.SQL)
 	if err != nil {
 		return nil, err
 	}
-	return p.chunks.Respond(res, p.cfg.ChunkRows), nil
+	return p.chunks.Reply(r, p.cfg.ChunkRows, func(sw *soap.StreamWriter) error {
+		defer ts.Close()
+		if err := sw.Schema(ts.Columns()); err != nil {
+			return err
+		}
+		for {
+			page, err := ts.Next()
+			if err != nil {
+				return err
+			}
+			if page == nil {
+				return nil
+			}
+			if err := sw.Page(page); err != nil {
+				return err
+			}
+		}
+	})
 }
 
 // Register adds a SkyNode to the federation. Following §5.1, the Portal

@@ -403,26 +403,6 @@ func orderKeys(q *sqlparse.Query, ds *dataset.DataSet) ([][]value.Value, error) 
 	return keys, nil
 }
 
-// scatterCrossMatch runs a cross-match chain whose plan touches at
-// least one sharded archive: the portal coordinates every step.
-func (p *Portal) scatterCrossMatch(ctx context.Context, pl *plan.Plan) (*dataset.DataSet, error) {
-	return p.runShardedChain(ctx, pl)
-}
-
-// scatterCrossMatchStream is the streamed form. Portal coordination
-// materializes each step's merged tuples anyway (the ordinal merge
-// needs the full shard outputs per step — a v1 trade-off documented in
-// docs/FEDERATION.md), so the fold runs first and the final result
-// re-pages through a SliceStream; streamed and folded paths therefore
-// share one code path and stay bit-identical by construction.
-func (p *Portal) scatterCrossMatchStream(ctx context.Context, pl *plan.Plan) (core.TupleStream, error) {
-	ds, err := p.runShardedChain(ctx, pl)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewSliceStream(ds, p.cfg.ChunkRows), nil
-}
-
 // stepShards resolves the scatter targets of one plan step: the archive's
 // shard map with its area-routed shards, or — for a flat archive — a nil
 // map and the step's own endpoint wrapped as a single pseudo-shard (flat

@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"skyquery/internal/dataset"
 	"skyquery/internal/value"
 )
 
@@ -274,19 +273,9 @@ func (g *Gate) Stats() GateStats {
 	return s
 }
 
-// estimateDataSetBytes is the admission weight of an incoming tuple
-// set: cell count times the value struct size plus string payloads'
-// backing arrays (sampled per column from the first row to stay O(rows)
-// instead of O(cells) — an estimate is all the budget needs).
-func estimateDataSetBytes(d *dataset.DataSet) int64 {
-	if d == nil {
-		return 0
-	}
-	return estimateRowsBytes(d.Rows)
-}
-
-// estimateRowsBytes is the admission weight of one batch of tuples —
-// the streaming path charges it per in-flight page, so the gate sees
+// estimateRowsBytes is the admission weight of one page of tuples: cell
+// count times the value struct size plus string payloads' backing
+// arrays. A chain step charges it per in-flight page, so the gate sees
 // the real page-sized footprint instead of a whole-set estimate.
 func estimateRowsBytes(rows [][]value.Value) int64 {
 	if len(rows) == 0 {

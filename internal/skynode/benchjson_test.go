@@ -38,7 +38,7 @@ func TestWriteBenchChainJSON(t *testing.T) {
 
 	nodes := benchChainNodes(t)
 	p := benchChainPlan()
-	seed, err := nodes[1].localStep(p, p.Steps[1], nil)
+	seed, err := nodes[1].execStep(p, p.Steps[1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestWriteBenchChainJSON(t *testing.T) {
 		defer SetCandPrune(prev)
 		res := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := nodes[0].localStep(p, step, in); err != nil {
+				if _, err := nodes[0].execStep(p, step, in); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"skyquery/internal/core"
 	"skyquery/internal/dataset"
 	"skyquery/internal/plan"
+	"skyquery/internal/soap"
 	"skyquery/internal/storage"
 	"skyquery/internal/survey"
 	"skyquery/internal/value"
@@ -13,7 +15,7 @@ import (
 
 // pruneNodes builds multi-zone-block archives (several thousand rows each,
 // ZoneBlockRows = 1024) so candidate pruning has blocks to kill, without
-// any SOAP plumbing — the tests drive localStep directly.
+// any SOAP plumbing — the tests drive execStep directly.
 func pruneNodes(t *testing.T, bodies int) map[string]*Node {
 	t.Helper()
 	field := survey.GenerateField(testRegion(), bodies, 0.4, 1001)
@@ -65,16 +67,33 @@ func sameDataSet(t *testing.T, label string, got, want *dataset.DataSet) {
 	}
 }
 
-// runStep executes one localStep with candidate pruning on or off and
+// execStep runs one chain step in process, without any SOAP plumbing:
+// in (nil for the seed step) is handed over as a single page, and the
+// output pages are collected as a parked reply collects them.
+func (n *Node) execStep(p *plan.Plan, step plan.Step, in *dataset.DataSet) (*dataset.DataSet, error) {
+	var src dataset.Pages
+	if in != nil {
+		src = core.NewSliceStream(in, len(in.Rows))
+	}
+	resp, err := n.chunks.Reply(&soap.Request{}, 0, func(sw *soap.StreamWriter) error {
+		return n.chainStep(p, step, src, "test input", n.cfg.ChunkRows, sw)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return resp.(*soap.ChunkedData).Data, nil
+}
+
+// runStep executes one execStep with candidate pruning on or off and
 // returns the output plus the counter deltas.
 func runStep(t *testing.T, n *Node, p *plan.Plan, step plan.Step, in *dataset.DataSet, prune bool) (out *dataset.DataSet, blocksPruned, rowsGathered int64) {
 	t.Helper()
 	prev := SetCandPrune(prune)
 	defer SetCandPrune(prev)
 	b0, r0 := storage.CandBlocksPruned(), storage.CandRowsGathered()
-	out, err := n.localStep(p, step, in)
+	out, err := n.execStep(p, step, in)
 	if err != nil {
-		t.Fatalf("localStep: %v", err)
+		t.Fatalf("execStep: %v", err)
 	}
 	return out, storage.CandBlocksPruned() - b0, storage.CandRowsGathered() - r0
 }
@@ -192,7 +211,7 @@ func TestCandPruningErrorOrderExactness(t *testing.T) {
 	run := func(prune bool) error {
 		prev := SetCandPrune(prune)
 		defer SetCandPrune(prev)
-		_, err := nodes["SDSS"].localStep(pErr, errStep, nil)
+		_, err := nodes["SDSS"].execStep(pErr, errStep, nil)
 		return err
 	}
 	e0, e1 := run(false), run(true)

@@ -32,7 +32,7 @@ func TestDropOutVetoBeatsError(t *testing.T) {
 	dropStep := plan.Step{Archive: "FIRST", Alias: "P", Table: survey.TableName, SigmaArcsec: 0.4,
 		LocalWhere: "1 / (P.object_id % 3) > 0", DropOut: true}
 	p := prunePlan(dropStep, seedStep)
-	seed, err := nodes["TWOMASS"].localStep(p, seedStep, nil)
+	seed, err := nodes["TWOMASS"].execStep(p, seedStep, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestDropOutVetoBeatsError(t *testing.T) {
 			pp.Parallelism = par
 			// Vetoes win: without the failing tuples the step succeeds and
 			// keeps exactly the tuples no candidate vetoed.
-			got, err := drop.localStep(&pp, dropStep, &dataset.DataSet{Columns: seed.Columns, Rows: healthy})
+			got, err := drop.execStep(&pp, dropStep, &dataset.DataSet{Columns: seed.Columns, Rows: healthy})
 			if err != nil {
 				t.Fatalf("%s: vetoed tuples raised %v", label, err)
 			}
@@ -116,7 +116,7 @@ func TestDropOutVetoBeatsError(t *testing.T) {
 			// Errors that come first fail the step, with the same text at
 			// every setting (batch 1 is the row-at-a-time reference).
 			for _, row := range failing {
-				_, err := drop.localStep(&pp, dropStep, &dataset.DataSet{Columns: seed.Columns, Rows: [][]value.Value{row}})
+				_, err := drop.execStep(&pp, dropStep, &dataset.DataSet{Columns: seed.Columns, Rows: [][]value.Value{row}})
 				if err == nil {
 					t.Fatalf("%s: a tuple whose first candidate errors was not failed", label)
 				}
@@ -131,16 +131,16 @@ func TestDropOutVetoBeatsError(t *testing.T) {
 	}
 }
 
-// TestIsolatedStreamedStep: an isolated step asked for a stream answers
-// with the parked-chunk response instead, which soap.OpenStream reads
-// through its buffered fallback — the same rows, bit for bit, as the
-// folded Call + FetchAll. The stashed input is half the seed, so a step
-// that wrongly chained to the next node would return more rows.
+// TestIsolatedStreamedStep: an isolated step asked for a stream streams
+// its pages, and a plain Call + FetchAll gets the same pages parked as
+// chunks — the same rows, bit for bit. The stashed input is half the
+// seed, so a step that wrongly chained to the next node would return
+// more rows.
 func TestIsolatedStreamedStep(t *testing.T) {
 	_, archives, nodes, endpoints := testFederation(t, 400, defaultConfigs()[:2])
 	p := buildPlan(archives, endpoints, []int{0, 1}, nil, 3.5)
 	p.ChunkRows = 50
-	seed, err := nodes[1].localStep(&p, p.Steps[1], nil)
+	seed, err := nodes[1].execStep(&p, p.Steps[1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,11 @@
 //
 // The CrossMatch service realizes the daisy chain of §5.3: a node that is
 // not last in the plan's call order forwards the plan to the next node
-// first, then folds its own observations into the partial tuples that flow
-// back, and finally returns the extended tuples to its caller.
+// first, then runs its own step over each page of partial tuples that
+// flows back, and returns the extended tuples to its caller. Every bulk
+// answer (CrossMatch and Query) is a page stream, produced once; the
+// caller's Accept decides whether the pages stream or park as chunks it
+// fetches (soap.ChunkStore.Reply).
 //
 // # Predicate pushdown below the HTM search
 //

@@ -135,26 +135,20 @@ func (n *Node) handleQuery(r *soap.Request) (interface{}, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer release()
 	res, err := n.cfg.DB.Execute(q)
+	release()
 	if err != nil {
 		return nil, fmt.Errorf("skynode %s: %w", n.cfg.Name, err)
 	}
 	n.queriesServed.Add(1)
 	n.emit("query", "%d rows for %q", len(res.Rows), req.SQL)
 	ds := resultToDataSet(res)
-	if r.WantsStream() {
-		// Stream the materialized result page by page instead of parking
-		// tail chunks: nothing waits in the ChunkStore and the caller
-		// holds one page at a time.
-		return &soap.ChunkedStream{Run: func(sw *soap.StreamWriter) error {
-			if err := sw.Schema(ds.Columns); err != nil {
-				return err
-			}
-			return writePaged(sw, ds.Rows, n.cfg.ChunkRows)
-		}}, nil
-	}
-	return n.chunks.Respond(ds, n.cfg.ChunkRows), nil
+	return n.chunks.Reply(r, n.cfg.ChunkRows, func(sw *soap.StreamWriter) error {
+		if err := sw.Schema(ds.Columns); err != nil {
+			return err
+		}
+		return writePaged(sw, ds.Rows, n.cfg.ChunkRows)
+	})
 }
 
 // writePaged emits rows to the stream in pages of at most chunkRows.
@@ -191,180 +185,134 @@ func (n *Node) handleCrossMatch(r *soap.Request) (interface{}, error) {
 		chunkRows = n.cfg.ChunkRows
 	}
 	ctx := r.Context()
-	// An isolated step's input is already folded in the coordinator's
-	// stash, so it always answers with the parked-chunk response, which
-	// soap.OpenStream consumes through its buffered fallback.
-	if r.WantsStream() && !req.Isolated {
-		return n.crossMatchStream(ctx, p, step, chunkRows), nil
-	}
-
-	incoming, err := n.stepIncoming(ctx, &req, p)
-	if err != nil {
-		return nil, err
-	}
-
-	// Admission sits after the downstream fetch on purpose: a slot held
-	// across the chain's network wait would let one slow downstream node
-	// pin this node's whole budget, and since each node gates only its
-	// own local step there is no lock-ordering cycle across the chain.
-	release, err := n.admit(estimateDataSetBytes(incoming))
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	out, err := n.localStep(p, step, incoming)
-	if err != nil {
-		return nil, fmt.Errorf("skynode %s: %w", n.cfg.Name, err)
-	}
-	n.tuplesOut.Add(int64(out.NumRows()))
-	n.emit("xmatch.return", "%d tuples", out.NumRows())
-	return n.chunks.Respond(out, chunkRows), nil
+	return n.chunks.Reply(r, chunkRows, func(sw *soap.StreamWriter) error {
+		in, from, err := n.openIncoming(ctx, &req)
+		if err != nil {
+			return err
+		}
+		if in != nil {
+			defer in.Close()
+		}
+		return n.chainStep(p, step, in, from, chunkRows, sw)
+	})
 }
 
-// stepIncoming materializes the folded path's incoming tuples: fetched
-// from the coordinator's stash in isolated mode, pulled from the next
-// chain node otherwise. Seed steps (no downstream, no stash) get nil.
-func (n *Node) stepIncoming(ctx context.Context, req *CrossMatchRequest, p *plan.Plan) (*dataset.DataSet, error) {
+// openIncoming opens the step's incoming partial tuples as a page
+// stream: the coordinator's stash for an isolated step, the next chain
+// node otherwise, and nothing (nil) for a seed step. from names the
+// source for error messages.
+func (n *Node) openIncoming(ctx context.Context, req *CrossMatchRequest) (in dataset.Pages, from string, err error) {
 	if req.Isolated {
 		if req.Incoming == nil {
-			return nil, nil
+			return nil, "", nil
 		}
 		n.emit("xmatch.incoming", "stashed at %s", req.Incoming.Endpoint)
-		ds, err := soap.FetchToken(ctx, n.client, req.Incoming.Endpoint, req.Incoming.Token)
+		st, err := soap.OpenStash(ctx, n.client, req.Incoming.Endpoint, req.Incoming.Token)
 		if err != nil {
-			return nil, fmt.Errorf("skynode %s: fetch incoming: %w", n.cfg.Name, err)
+			return nil, "", fmt.Errorf("skynode %s: fetch incoming: %w", n.cfg.Name, err)
 		}
-		n.tuplesIn.Add(int64(ds.NumRows()))
-		return ds, nil
+		return st, "stash at " + req.Incoming.Endpoint, nil
 	}
-	next := p.Next(n.cfg.Name)
+	next := req.Plan.Next(n.cfg.Name)
 	if next == nil {
-		return nil, nil
+		return nil, "", nil
 	}
 	n.emit("xmatch.forward", "-> %s", next.Archive)
-	var first soap.ChunkedData
-	if err := n.client.Call(ctx, next.Endpoint, ActionCrossMatch, &CrossMatchRequest{Plan: *p}, &first); err != nil {
-		return nil, fmt.Errorf("skynode %s: chain call to %s: %w", n.cfg.Name, next.Archive, err)
-	}
-	ds, err := soap.FetchAll(ctx, n.client, next.Endpoint, &first)
+	st, err := soap.OpenStream(ctx, n.client, next.Endpoint, ActionCrossMatch, &CrossMatchRequest{Plan: req.Plan})
 	if err != nil {
-		return nil, fmt.Errorf("skynode %s: fetch from %s: %w", n.cfg.Name, next.Archive, err)
+		return nil, "", fmt.Errorf("skynode %s: chain call to %s: %w", n.cfg.Name, next.Archive, err)
 	}
-	n.tuplesIn.Add(int64(ds.NumRows()))
-	return ds, nil
+	return st, next.Archive, nil
 }
 
-// crossMatchStream is the page-at-a-time form of the chain step: the
-// downstream node's partial tuples are consumed as each page arrives,
-// every page runs through the same compiled stepRunner as the folded
-// path (which is what keeps the two wires bit-identical), and the
-// extended tuples are re-paged to the caller at chunkRows rows — an
-// extend step can amplify one incoming page arbitrarily, so output
-// paging cannot simply mirror input paging. Peak memory here is the
-// in-flight page plus its output, not the tuple set. Failures after
-// the first byte has been written cannot become SOAP faults any more;
-// they travel in-band as columnar error frames and surface to the
-// consumer as a typed *dataset.StreamError.
-func (n *Node) crossMatchStream(ctx context.Context, p *plan.Plan, step plan.Step, chunkRows int) *soap.ChunkedStream {
-	return &soap.ChunkedStream{Run: func(sw *soap.StreamWriter) error {
-		next := p.Next(n.cfg.Name)
-		if next == nil {
-			return n.seedStream(p, step, chunkRows, sw)
-		}
-		n.emit("xmatch.forward", "-> %s", next.Archive)
-		st, err := soap.OpenStream(ctx, n.client, next.Endpoint, ActionCrossMatch, &CrossMatchRequest{Plan: *p})
-		if err != nil {
-			return fmt.Errorf("skynode %s: chain call to %s: %w", n.cfg.Name, next.Archive, err)
-		}
-		defer st.Close()
-		r, err := n.newStepRunner(p, step, st.Columns())
-		if err != nil {
-			return fmt.Errorf("skynode %s: %w", n.cfg.Name, err)
-		}
-		defer r.close()
-		if step.DropOut {
-			n.emit("xmatch.dropout", "streaming pages")
-		} else {
-			n.emit("xmatch.step", "streaming pages")
-		}
-		if err := sw.Schema(r.outCols); err != nil {
-			return err
-		}
-		var pending [][]value.Value
-		for {
-			page, err := st.Next()
-			if err != nil {
-				return fmt.Errorf("skynode %s: stream from %s: %w", n.cfg.Name, next.Archive, err)
-			}
-			if page == nil {
-				break
-			}
-			n.tuplesIn.Add(int64(len(page)))
-			out, err := n.runPage(r, page)
-			if err != nil {
-				return fmt.Errorf("skynode %s: %w", n.cfg.Name, err)
-			}
-			pending = append(pending, out...)
-			for len(pending) >= chunkRows {
-				if err := sw.Page(pending[:chunkRows:chunkRows]); err != nil {
-					return err
-				}
-				// Copy the tail so written pages' row headers are not
-				// pinned by the pending slice's backing array.
-				rest := make([][]value.Value, len(pending)-chunkRows)
-				copy(rest, pending[chunkRows:])
-				pending = rest
-			}
-		}
-		if err := sw.Page(pending); err != nil {
-			return err
-		}
-		n.tuplesOut.Add(int64(sw.Rows()))
-		n.emit("xmatch.return", "%d tuples streamed", sw.Rows())
-		return nil
-	}}
-}
-
-// seedStream emits the seed step's 1-tuples in pages. The seed search
-// itself is one local computation (there is no upstream to stream
-// from), so admission is charged once around it and released before
-// the pages go out on the wire.
-func (n *Node) seedStream(p *plan.Plan, step plan.Step, chunkRows int, sw *soap.StreamWriter) error {
-	r, err := n.newStepRunner(p, step, nil)
+// chainStep runs this node's step of the cross match over the incoming
+// pages, or — for the seed step (in == nil) — once over the AREA. Every
+// page runs through one compiled stepRunner, and the output is written
+// re-paged at chunkRows rows: an extend step can amplify one incoming
+// page arbitrarily, so output paging cannot mirror input paging. The
+// step holds the page in flight and its output, not the tuple set;
+// whether sw streams the pages or parks them as chunks is the caller's
+// choice (soap.ChunkStore.Reply). A mandatory archive extends each
+// tuple with every nearby candidate that keeps the chi-square within
+// threshold; a drop-out archive vetoes tuples that have such a
+// candidate and passes the rest through unchanged.
+func (n *Node) chainStep(p *plan.Plan, step plan.Step, in dataset.Pages, from string, chunkRows int, sw *soap.StreamWriter) error {
+	var inCols []dataset.Column
+	if in != nil {
+		inCols = in.Columns()
+	}
+	r, err := n.newStepRunner(p, step, inCols)
 	if err != nil {
 		return fmt.Errorf("skynode %s: %w", n.cfg.Name, err)
 	}
 	defer r.close()
-	release, err := n.admit(0)
-	if err != nil {
-		return err
+	var pending [][]value.Value
+	if in == nil {
+		// The seed search is one local computation with no input to
+		// page; its schema goes out only once it has succeeded.
+		n.emit("xmatch.seed", "table %s", step.Table)
+		if pending, err = n.runPage(r, nil); err != nil {
+			return err
+		}
+		n.observeSeedEstimate(step, len(pending))
 	}
-	n.emit("xmatch.seed", "table %s", step.Table)
-	rows, seedErr := r.seed()
-	release()
-	if seedErr != nil {
-		return fmt.Errorf("skynode %s: %w", n.cfg.Name, seedErr)
-	}
-	n.observeSeedEstimate(step, len(rows))
 	if err := sw.Schema(r.outCols); err != nil {
 		return err
 	}
-	if err := writePaged(sw, rows, chunkRows); err != nil {
+	if in != nil {
+		tuplesIn := 0
+		for {
+			page, err := in.Next()
+			if err != nil {
+				return fmt.Errorf("skynode %s: read from %s: %w", n.cfg.Name, from, err)
+			}
+			if page == nil {
+				break
+			}
+			tuplesIn += len(page)
+			n.tuplesIn.Add(int64(len(page)))
+			out, err := n.runPage(r, page)
+			if err != nil {
+				return err
+			}
+			pending = append(pending, out...)
+			if full := len(pending) / chunkRows * chunkRows; full > 0 {
+				if err := writePaged(sw, pending[:full], chunkRows); err != nil {
+					return err
+				}
+				// Copy the tail so written pages' row headers are not
+				// pinned by the pending slice's backing array.
+				pending = append([][]value.Value(nil), pending[full:]...)
+			}
+		}
+		if step.DropOut {
+			n.emit("xmatch.dropout", "%d tuples in", tuplesIn)
+		} else {
+			n.emit("xmatch.step", "%d tuples in", tuplesIn)
+		}
+	}
+	if err := writePaged(sw, pending, chunkRows); err != nil {
 		return err
 	}
-	n.tuplesOut.Add(int64(len(rows)))
-	n.emit("xmatch.return", "%d tuples streamed", len(rows))
+	n.tuplesOut.Add(int64(sw.Rows()))
+	n.emit("xmatch.return", "%d tuples", sw.Rows())
 	return nil
 }
 
 // runPage charges admission for one in-flight page — its real
 // estimated bytes, not a whole-set guess — and holds the weight only
-// across the local compute, never across a network wait.
+// across the local compute, never across a network wait. A shed comes
+// back as the unwrapped Overloaded fault, so a parked reply keeps it
+// retryable.
 func (n *Node) runPage(r *stepRunner, page [][]value.Value) ([][]value.Value, error) {
 	release, err := n.admit(estimateRowsBytes(page))
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	return r.run(page)
+	out, err := r.run(page)
+	if err != nil {
+		return nil, fmt.Errorf("skynode %s: %w", n.cfg.Name, err)
+	}
+	return out, nil
 }

@@ -84,18 +84,15 @@ func (l *scratchList[T]) release(fn func(T)) {
 
 // stepRunner is one chain step compiled and ready to execute page by
 // page: predicates are parsed, compiled, and bound once when the runner
-// is built; each run call then processes one batch of incoming tuples
+// is built; each run call then processes one page of incoming tuples
 // through the same pruned search → typed gather → chi-square gate →
-// residual pipeline. The folded (whole-set) path and the streaming path
-// share the same runner, which is what keeps them bit-identical.
+// residual pipeline.
 type stepRunner struct {
 	// outCols is the step's output tuple schema, known before any row is
-	// processed (streaming emits it as the schema frame up front).
+	// processed (a streamed reply emits it as the schema frame up front).
 	outCols []dataset.Column
-	// seed produces the seed step's 1-tuples; nil for non-seed runners.
-	seed func() ([][]value.Value, error)
-	// run extends (or veto-filters) one batch of incoming tuples; nil
-	// for seed runners.
+	// run extends (or veto-filters) one page of incoming tuples. The
+	// seed runner ignores its input and returns the AREA's 1-tuples.
 	run func(rows [][]value.Value) ([][]value.Value, error)
 	// close releases the runner's pooled scratch. Must be called once.
 	close func()
@@ -146,50 +143,6 @@ func (n *Node) newStepRunner(p *plan.Plan, step plan.Step, incomingCols []datase
 	return n.newCapJoinRunner(p, table, step, area, localWhere, crossWhere, incomingCols)
 }
 
-// localStep performs this node's part of the cross match over a whole
-// incoming tuple set. For the seed node (incoming == nil) it selects its
-// objects in the AREA satisfying the local predicate and emits 1-tuples.
-// For a mandatory archive it extends each incoming tuple with every
-// nearby candidate that keeps the chi-square within threshold. For a
-// drop-out archive it vetoes tuples that have such a candidate and
-// passes the rest through unchanged. The streaming path runs the same
-// compiled step per incoming page instead (see crossMatchStream).
-func (n *Node) localStep(p *plan.Plan, step plan.Step, incoming *dataset.DataSet) (*dataset.DataSet, error) {
-	var incomingCols []dataset.Column
-	if incoming != nil {
-		incomingCols = incoming.Columns
-	}
-	r, err := n.newStepRunner(p, step, incomingCols)
-	if err != nil {
-		return nil, err
-	}
-	defer r.close()
-
-	if incoming == nil {
-		n.emit("xmatch.seed", "table %s", step.Table)
-		rows, err := r.seed()
-		if err != nil {
-			return nil, err
-		}
-		n.observeSeedEstimate(step, len(rows))
-		return &dataset.DataSet{Columns: r.outCols, Rows: rows}, nil
-	}
-
-	if step.DropOut {
-		n.emit("xmatch.dropout", "%d tuples in", incoming.NumRows())
-	} else {
-		n.emit("xmatch.step", "%d tuples in", incoming.NumRows())
-	}
-	// The step reads the incoming tuples in place, as the streamed path
-	// does per page. §5.3's stored procedure inserts them into a temporary
-	// table first; no result depends on that copy, so the step skips it.
-	outRows, err := r.run(incoming.Rows)
-	if err != nil {
-		return nil, err
-	}
-	return &dataset.DataSet{Columns: r.outCols, Rows: outRows}, nil
-}
-
 // observeSeedEstimate emits the estimate-vs-actual trace event the
 // EXPLAIN tooling reads for a seed step the plan carried an estimate for.
 func (n *Node) observeSeedEstimate(step plan.Step, actual int) {
@@ -235,7 +188,7 @@ func (n *Node) newSeedRunner(p *plan.Plan, table *storage.Table, step plan.Step,
 			func(s int) value.Type { return schema[s].Type })
 		pruner = table.CandPruner(ps)
 	}
-	seed := func() ([][]value.Value, error) {
+	seed := func([][]value.Value) ([][]value.Value, error) {
 		var cand []int
 		var candPos []sphere.Vec
 		sb := &storage.SearchBatch{Rows: make([]int, 0, bs), Pos: make([]sphere.Vec, 0, bs), Prune: pruner}
@@ -278,7 +231,7 @@ func (n *Node) newSeedRunner(p *plan.Plan, table *storage.Table, step plan.Step,
 	}
 	return &stepRunner{
 		outCols: n.tupleColumns(nil, table, step),
-		seed:    seed,
+		run:     seed,
 		close: func() {
 			scratch.release(func(sc *seedScratch) { sc.batch.Release(); sc.ev.Release() })
 		},
@@ -292,8 +245,9 @@ func (n *Node) newSeedRunner(p *plan.Plan, table *storage.Table, step plan.Step,
 // the tuple with every gate match that also passes the cross predicates;
 // a drop-out archive vetoes the tuple on its first gate match — the
 // "exclusive outer join" of §5.2 — and passes the rest through with their
-// schema unchanged. Both the folded and the streamed path hand it the
-// incoming tuples in place.
+// schema unchanged. It reads each incoming page in place: §5.3's stored
+// procedure inserts the tuples into a temporary table first, but no
+// result depends on that copy, so the step skips it.
 func (n *Node) newCapJoinRunner(p *plan.Plan, table *storage.Table, step plan.Step, area sphere.Region,
 	localWhere sqlparse.Expr, crossWhere []sqlparse.Expr, incomingCols []dataset.Column) (*stepRunner, error) {
 

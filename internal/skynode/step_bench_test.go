@@ -61,7 +61,7 @@ func runBenchChainStep(b *testing.B, nodes []*Node, p *plan.Plan, seed *dataset.
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		out, err = nodes[0].localStep(p, p.Steps[0], seed)
+		out, err = nodes[0].execStep(p, p.Steps[0], seed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func runBenchChainStep(b *testing.B, nodes []*Node, p *plan.Plan, seed *dataset.
 func BenchmarkChainStepPruned(b *testing.B) {
 	nodes := benchChainNodes(b)
 	p := benchChainPlan()
-	seed, err := nodes[1].localStep(p, p.Steps[1], nil)
+	seed, err := nodes[1].execStep(p, p.Steps[1], nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func BenchmarkChainStepPruned(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			var err error
-			if seedUnpruned, err = nodes[0].localStep(seedPlan, seedStep, nil); err != nil {
+			if seedUnpruned, err = nodes[0].execStep(seedPlan, seedStep, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -115,7 +115,7 @@ func BenchmarkChainStepPruned(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			var err error
-			if seedPruned, err = nodes[0].localStep(seedPlan, seedStep, nil); err != nil {
+			if seedPruned, err = nodes[0].execStep(seedPlan, seedStep, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -156,7 +156,7 @@ func BenchmarkLocalStep(b *testing.B) {
 	var seed *dataset.DataSet
 	{
 		var err error
-		seed, err = nodes[1].localStep(p, p.Steps[1], nil)
+		seed, err = nodes[1].execStep(p, p.Steps[1], nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func BenchmarkLocalStep(b *testing.B) {
 			p2 := *p
 			p2.Parallelism = workers
 			for i := 0; i < b.N; i++ {
-				out, err := nodes[0].localStep(&p2, p2.Steps[0], seed)
+				out, err := nodes[0].execStep(&p2, p2.Steps[0], seed)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -190,7 +190,7 @@ func BenchmarkDropOutStep(b *testing.B) {
 	p.Steps[0].DropOut = true
 	p.Steps[0].Columns = nil
 	p.Steps[0].LocalWhere = "O.object_id % 8 = 0"
-	seed, err := nodes[1].localStep(p, p.Steps[1], nil)
+	seed, err := nodes[1].execStep(p, p.Steps[1], nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func BenchmarkDropOutStep(b *testing.B) {
 			p2.Parallelism = workers
 			var kept int
 			for i := 0; i < b.N; i++ {
-				out, err := nodes[0].localStep(&p2, p2.Steps[0], seed)
+				out, err := nodes[0].execStep(&p2, p2.Steps[0], seed)
 				if err != nil {
 					b.Fatal(err)
 				}

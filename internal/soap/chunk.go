@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"skyquery/internal/dataset"
+	"skyquery/internal/value"
 )
 
 // This file implements the chunked transfer of large data sets: the
@@ -262,6 +263,33 @@ func (cs *ChunkStore) Respond(d *dataset.DataSet, maxRows int) *ChunkedData {
 	return first
 }
 
+// Reply answers a bulk request with the pages produce writes. A caller
+// that asked for a stream (Request.WantsStream) gets each page as it is
+// written. Any other caller gets the same pages collected into one data
+// set and answered as parked chunks of at most maxRows rows (Respond);
+// a produce error then becomes the handler's error, so a *Fault keeps
+// its code and detail. On the streamed path the error travels in-band.
+func (cs *ChunkStore) Reply(r *Request, maxRows int, produce func(*StreamWriter) error) (interface{}, error) {
+	if r.WantsStream() {
+		return &ChunkedStream{Run: produce}, nil
+	}
+	d := &dataset.DataSet{}
+	sw := &StreamWriter{
+		schema: func(cols []dataset.Column) error {
+			d.Columns = cols
+			return nil
+		},
+		page: func(rows [][]value.Value) error {
+			d.Rows = append(d.Rows, rows...)
+			return nil
+		},
+	}
+	if err := sw.run(produce); err != nil {
+		return nil, err
+	}
+	return cs.Respond(d, maxRows), nil
+}
+
 // Fetch pops the next chunk of a transfer and slides its TTL. The final
 // chunk carries no token; fetching an unknown, expired, or exhausted
 // token is an error.
@@ -355,14 +383,14 @@ func (cs *ChunkStore) Stash(d *dataset.DataSet, maxRows, n int) []string {
 	return tokens
 }
 
-// FetchToken drains a stashed transfer from its first chunk: the callee
-// side of Stash. The sequence is validated exactly as in FetchAll.
-func FetchToken(ctx context.Context, c *Client, url, token string) (*dataset.DataSet, error) {
+// OpenStash opens a stashed transfer as a page stream from its first
+// chunk: the callee side of Stash.
+func OpenStash(ctx context.Context, c *Client, url, token string) (*PageStream, error) {
 	var first ChunkedData
 	if err := c.Call(ctx, url, FetchAction, &FetchRequest{Token: token}, &first); err != nil {
 		return nil, fmt.Errorf("soap: fetch stashed transfer: %w", err)
 	}
-	return FetchAll(ctx, c, url, &first)
+	return chunkStream(ctx, c, url, &first)
 }
 
 // chunkFollower validates the chunk sequence of one transfer as a caller
@@ -436,12 +464,9 @@ func releaseTransfer(c *Client, url, token string) {
 	_ = c.Call(context.Background(), url, FetchAction, &FetchRequest{Token: token, Release: true}, &ack)
 }
 
-// FetchAll drains a chunked response: given the first chunk, it pulls the
-// remaining ones from url via the client and returns the joined data set.
-// The chunk sequence is validated (monotonic Seq, chunk count capped by
-// the first chunk's Remaining); on any mid-drain failure the transfer is
-// released server-side.
-func FetchAll(ctx context.Context, c *Client, url string, first *ChunkedData) (*dataset.DataSet, error) {
+// chunkStream starts a page stream at the first chunk of a transfer;
+// the remaining chunks are fetched from url as the stream is read.
+func chunkStream(ctx context.Context, c *Client, url string, first *ChunkedData) (*PageStream, error) {
 	if first == nil || first.Data == nil {
 		return nil, fmt.Errorf("soap: empty chunked response")
 	}
@@ -449,18 +474,18 @@ func FetchAll(ctx context.Context, c *Client, url string, first *ChunkedData) (*
 	if err != nil {
 		return nil, err
 	}
-	chunks := []*dataset.DataSet{first.Data}
-	for follow.token != "" {
-		var next ChunkedData
-		if err := c.Call(ctx, url, FetchAction, &FetchRequest{Token: follow.token}, &next); err != nil {
-			releaseTransfer(c, url, follow.token)
-			return nil, fmt.Errorf("soap: fetch chunk: %w", err)
-		}
-		if err := follow.next(&next); err != nil {
-			releaseTransfer(c, url, follow.token)
-			return nil, err
-		}
-		chunks = append(chunks, next.Data)
+	return &PageStream{c: c, ctx: ctx, url: url, cols: first.Data.Columns, buf: first.Data.Rows, follow: follow}, nil
+}
+
+// FetchAll drains a chunked response: given the first chunk, it pulls the
+// remaining ones from url via the client and returns the joined data set.
+// The chunk sequence is validated (monotonic Seq, chunk count capped by
+// the first chunk's Remaining); on any mid-drain failure the transfer is
+// released server-side.
+func FetchAll(ctx context.Context, c *Client, url string, first *ChunkedData) (*dataset.DataSet, error) {
+	ps, err := chunkStream(ctx, c, url, first)
+	if err != nil {
+		return nil, err
 	}
-	return dataset.Join(chunks)
+	return dataset.Drain(ps)
 }

@@ -1,16 +1,17 @@
 package soap
 
-// Streaming bulk responses. PR 7's columnar wire already frames results
-// as self-delimiting pages; this file lets both ends keep the page
-// boundary instead of folding it away. A handler returns a ChunkedStream
-// whose Run produces pages as the work generates them, and the server
-// writes each one to the HTTP response immediately; a caller uses
-// OpenStream/PageStream to consume pages as they arrive. A streamed body
-// is a valid single-chunk ChunkedData body (SQCH header with an empty
-// token), so non-streaming receivers decode it unchanged, and servers
-// that answer with buffered chunked responses — or plain XML — degrade
-// transparently to chunk-by-chunk fetching. Errors after the stream has
-// started travel in-band as columnar error frames (dataset.StreamError).
+// Page streams. Every bulk answer is a page stream, produced once by a
+// handler through ChunkStore.Reply; the caller's Accept decides what the
+// pages become. A caller that reads the columnar format and asks for a
+// stream gets a ChunkedStream: each page goes to the HTTP response as
+// soon as it is written. Any other caller gets the same pages collected
+// and parked as chunks it fetches one by one. A streamed body is a valid
+// single-chunk ChunkedData body (SQCH header with an empty token), so
+// non-streaming receivers decode it unchanged. On the receiving side
+// OpenStream returns a PageStream over whichever shape the server chose,
+// and FetchAll drains one from a first chunk already in hand. Errors
+// after the stream has started travel in-band as columnar error frames
+// (dataset.StreamError).
 
 import (
 	"bufio"
@@ -18,22 +19,24 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 
 	"skyquery/internal/dataset"
 	"skyquery/internal/value"
 )
 
 // streamHeader marks a request whose caller consumes the response page
-// by page; handlers only answer with a ChunkedStream when it is present,
+// by page; Reply only answers with a ChunkedStream when it is present,
 // so buffered clients keep getting bounded chunked responses.
 const streamHeader = "X-Skyquery-Stream"
 
-// StreamWriter is handed to a ChunkedStream's Run: Schema exactly once,
-// then Page per row group. Each page is flushed to the wire as soon as
-// it is written.
+// StreamWriter is handed to a bulk answer's producer: Schema exactly
+// once, then Page per row group. On a streamed reply each page is
+// flushed to the wire as soon as it is written; on a parked one
+// (ChunkStore.Reply) the pages are collected.
 type StreamWriter struct {
-	enc         *dataset.ColumnarEncoder
-	flush       func() error
+	schema      func(cols []dataset.Column) error
+	page        func(rows [][]value.Value) error
 	wroteSchema bool
 	rows        int
 }
@@ -45,14 +48,11 @@ func (sw *StreamWriter) Schema(cols []dataset.Column) error {
 		return fmt.Errorf("soap: stream schema already written")
 	}
 	sw.wroteSchema = true
-	if err := sw.enc.WriteSchema(cols); err != nil {
-		return err
-	}
-	return sw.flush()
+	return sw.schema(cols)
 }
 
-// Page emits one row group and flushes it to the caller. Empty pages are
-// skipped.
+// Page emits one row group. Empty pages are skipped. The writer may
+// keep rows, so the caller must not reuse the slice.
 func (sw *StreamWriter) Page(rows [][]value.Value) error {
 	if !sw.wroteSchema {
 		return fmt.Errorf("soap: stream page before schema")
@@ -61,19 +61,25 @@ func (sw *StreamWriter) Page(rows [][]value.Value) error {
 		return nil
 	}
 	sw.rows += len(rows)
-	if err := sw.enc.WritePage(rows); err != nil {
-		return err
-	}
-	return sw.flush()
+	return sw.page(rows)
 }
 
 // Rows returns how many rows have been written so far.
 func (sw *StreamWriter) Rows() int { return sw.rows }
 
+// run hands sw to a producer and requires it to have written a schema.
+func (sw *StreamWriter) run(produce func(*StreamWriter) error) error {
+	err := produce(sw)
+	if err == nil && !sw.wroteSchema {
+		err = fmt.Errorf("soap: stream produced no schema")
+	}
+	return err
+}
+
 // ChunkedStream is the streaming counterpart of ChunkedData: a response
 // produced page by page while the HTTP exchange is open. It implements
-// FrameStreamer; handlers return one only when Request.WantsStream
-// reports the caller can consume it.
+// FrameStreamer; ChunkStore.Reply returns one only when
+// Request.WantsStream reports the caller can consume it.
 type ChunkedStream struct {
 	// Run produces the response: Schema once, then Page per row group.
 	// A returned error ends the stream with an in-band error frame that
@@ -92,8 +98,7 @@ func (cs *ChunkedStream) StreamFrames(w io.Writer) error {
 		return err
 	}
 	flusher, _ := w.(http.Flusher)
-	sw := &StreamWriter{enc: dataset.NewColumnarEncoder(bw)}
-	sw.flush = func() error {
+	flush := func() error {
 		if err := bw.Flush(); err != nil {
 			return err
 		}
@@ -102,20 +107,31 @@ func (cs *ChunkedStream) StreamFrames(w io.Writer) error {
 		}
 		return nil
 	}
-	runErr := cs.Run(sw)
-	if runErr == nil && !sw.wroteSchema {
-		runErr = fmt.Errorf("soap: stream produced no schema")
+	enc := dataset.NewColumnarEncoder(bw)
+	sw := &StreamWriter{
+		schema: func(cols []dataset.Column) error {
+			if err := enc.WriteSchema(cols); err != nil {
+				return err
+			}
+			return flush()
+		},
+		page: func(rows [][]value.Value) error {
+			if err := enc.WritePage(rows); err != nil {
+				return err
+			}
+			return flush()
+		},
 	}
-	if runErr != nil {
-		if err := sw.enc.WriteError(runErr.Error()); err != nil {
+	if runErr := sw.run(cs.Run); runErr != nil {
+		if err := enc.WriteError(runErr.Error()); err != nil {
 			return err
 		}
-		return sw.flush()
+		return flush()
 	}
-	if err := sw.enc.Close(); err != nil {
+	if err := enc.Close(); err != nil {
 		return err
 	}
-	return sw.flush()
+	return flush()
 }
 
 // WantsStream reports that the caller asked for a page-streamed response
@@ -156,14 +172,7 @@ func OpenStream(ctx context.Context, c *Client, url, action string, req interfac
 	}
 	if body == nil {
 		// XML fallback: a whole first chunk, the rest by fetch.
-		if first.Data == nil {
-			return nil, fmt.Errorf("soap: empty chunked response")
-		}
-		follow, err := newChunkFollower(&first)
-		if err != nil {
-			return nil, err
-		}
-		return &PageStream{c: c, ctx: ctx, url: url, cols: first.Data.Columns, buf: first.Data.Rows, follow: follow}, nil
+		return chunkStream(ctx, c, url, &first)
 	}
 	// Columnar body: an embedded frame stream, possibly (when the server
 	// buffered and chunked) with a continuation token for more chunks.
@@ -271,6 +280,10 @@ func (ps *PageStream) Next() ([][]value.Value, error) {
 		}
 		if err := ps.follow.next(&next); err != nil {
 			ps.fail(err)
+			return nil, ps.err
+		}
+		if !slices.Equal(next.Data.Columns, ps.cols) {
+			ps.fail(fmt.Errorf("soap: chunk %d schema mismatch", next.Seq))
 			return nil, ps.err
 		}
 		ps.buf = next.Data.Rows

@@ -389,3 +389,77 @@ func TestStreamBufferedFallbackSameRows(t *testing.T) {
 		}
 	}
 }
+
+// TestReplyStreamsOrParks: one producer behind ChunkStore.Reply answers a
+// streaming caller page by page and a buffered caller with the same rows
+// parked as chunks; a producer's fault reaches a buffered caller intact.
+func TestReplyStreamsOrParks(t *testing.T) {
+	cs := &ChunkStore{}
+	d := sampleDataSet(1200)
+	s := NewServer()
+	s.Handle("urn:test:Reply", func(r *Request) (interface{}, error) {
+		return cs.Reply(r, 250, func(w *StreamWriter) error {
+			if err := w.Schema(d.Columns); err != nil {
+				return err
+			}
+			for start := 0; start < len(d.Rows); start += 100 {
+				if err := w.Page(d.Rows[start:min(start+100, len(d.Rows))]); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+	s.Handle("urn:test:Shed", func(r *Request) (interface{}, error) {
+		return cs.Reply(r, 250, func(w *StreamWriter) error {
+			return &Fault{Code: "soap:Server", String: "busy", Detail: FaultDetailOverloaded}
+		})
+	})
+	s.Handle(FetchAction, cs.FetchHandler())
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	c := &Client{}
+
+	ps, err := OpenStream(context.Background(), c, ts.URL, "urn:test:Reply", &FetchRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, pages, err := drainStream(t, ps)
+	ps.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pages != 12 {
+		t.Errorf("streamed %d pages, want the producer's 12", pages)
+	}
+
+	var first ChunkedData
+	if err := c.Call(context.Background(), ts.URL, "urn:test:Reply", &FetchRequest{}, &first); err != nil {
+		t.Fatal(err)
+	}
+	if first.Remaining != 4 || first.Data.NumRows() != 250 {
+		t.Errorf("parked first chunk: %d rows, %d remaining; want 250 rows, 4 remaining", first.Data.NumRows(), first.Remaining)
+	}
+	parked, err := FetchAll(context.Background(), c, ts.URL, &first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range []*dataset.DataSet{streamed, parked} {
+		if got.NumRows() != d.NumRows() {
+			t.Fatalf("got %d rows, want %d", got.NumRows(), d.NumRows())
+		}
+		for i := range d.Rows {
+			if got.Rows[i][0].AsInt() != d.Rows[i][0].AsInt() {
+				t.Fatalf("row %d = %v, want %v", i, got.Rows[i], d.Rows[i])
+			}
+		}
+	}
+	if cs.Pending() != 0 {
+		t.Errorf("%d transfers still parked after the drain", cs.Pending())
+	}
+
+	err = c.Call(context.Background(), ts.URL, "urn:test:Shed", &FetchRequest{}, &first)
+	if !IsOverloaded(err) {
+		t.Errorf("parked reply's fault = %v, want the producer's Overloaded fault", err)
+	}
+}

@@ -6,10 +6,10 @@ package skyquery
 // degrade, not fail, when replicas die.
 //
 //   - TestShardedGoldenCorpus: corpus × shard counts {2, 8} × par {1, 4}
-//     × batch {1, 3, 1024}, folded and streamed, against the same
-//     checked-in goldens the unsharded federation (TestGoldenQueryCorpus,
-//     shard count 1) pins.
-//   - TestShardedGoldenCorpusDegraded: the corpus again, folded and
+//     × batch {1, 3, 1024} (2 shards also at 7 rows per chunk), drained
+//     and streamed, against the same checked-in goldens the unsharded
+//     federation (TestGoldenQueryCorpus, shard count 1) pins.
+//   - TestShardedGoldenCorpusDegraded: the corpus again, drained and
 //     streamed, with a replica killed mid-query — answers still
 //     bit-identical, failover logged.
 //   - TestShardFollowerServesWhenLeaderDown: the failover satellite — a
@@ -99,13 +99,22 @@ func TestShardedGoldenCorpus(t *testing.T) {
 	files := goldenQueries(t)
 	defer eval.SetBatchSize(eval.DefaultBatchSize)
 	for _, shards := range []int{2, 8} {
-		for _, par := range []int{1, 4} {
-			f := launch(t, Options{Bodies: 400, Parallelism: par, Shards: shards})
-			for _, bs := range []int{1, 3, eval.DefaultBatchSize} {
-				eval.SetBatchSize(bs)
-				runCorpus(t, f, files, fmt.Sprintf("shards=%d/par=%d/batch=%d", shards, par, bs))
+		// ChunkRows 0 is the default (5000). At 7 rows per chunk every
+		// isolated step reads its stash in several chunks and runs page
+		// after page.
+		chunkRows := []int{0}
+		if shards == 2 {
+			chunkRows = []int{0, 7}
+		}
+		for _, cr := range chunkRows {
+			for _, par := range []int{1, 4} {
+				f := launch(t, Options{Bodies: 400, Parallelism: par, Shards: shards, ChunkRows: cr})
+				for _, bs := range []int{1, 3, eval.DefaultBatchSize} {
+					eval.SetBatchSize(bs)
+					runCorpus(t, f, files, fmt.Sprintf("shards=%d/chunk=%d/par=%d/batch=%d", shards, cr, par, bs))
+				}
+				f.Close()
 			}
-			f.Close()
 		}
 	}
 }

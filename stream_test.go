@@ -286,8 +286,8 @@ func runStreamMemDrill(t testing.TB) streamMemResult {
 		t.Fatalf("result has %d rows; need >= %d (100x ChunkRows) to exercise many pages", streamRows, 100*chunkRows)
 	}
 
-	// The folded execution materializes the result at every hop; the
-	// streamed one must peak far below it.
+	// The drained execution holds the whole projected result at the
+	// portal; the streamed one must peak far below it.
 	foldRows := 0
 	foldPeak, err := peakDelta(func() error {
 		res, err := f.Query(context.Background(), sql)

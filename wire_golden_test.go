@@ -38,37 +38,44 @@ func TestWireGoldenCorpus(t *testing.T) {
 	}
 	for _, cd := range codecs {
 		batchSizes := []int{1, 3, eval.DefaultBatchSize}
+		// ChunkRows 0 is the default (5000: every answer is one page).
+		chunkRows := []int{0}
 		if cd.codec == CodecXML {
 			// The XML fallback exercises the same engine below the wire;
-			// one batch size suffices to prove the negotiation path.
+			// one batch size suffices to prove the negotiation path. At 7
+			// rows per chunk every hop parks many chunks, so each step
+			// runs page after page.
 			batchSizes = []int{eval.DefaultBatchSize}
+			chunkRows = []int{0, 7}
 		}
 		for _, par := range []int{1, 4} {
-			f := launch(t, Options{Bodies: 400, Parallelism: par, Codec: cd.codec})
-			c := f.Client()
-			for _, bs := range batchSizes {
-				eval.SetBatchSize(bs)
-				for _, file := range files {
-					name := fmt.Sprintf("%s/%s/par=%d/batch=%d", cd.name, filepath.Base(file), par, bs)
-					sql, err := os.ReadFile(file)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := os.ReadFile(strings.TrimSuffix(file, ".sql") + ".golden")
-					if err != nil {
-						t.Fatalf("%s: missing golden: %v", name, err)
-					}
-					res, err := c.Query(context.Background(), string(sql))
-					if err != nil {
-						t.Errorf("%s: query failed: %v", name, err)
-						continue
-					}
-					if got := goldenEncode(res); got != string(want) {
-						t.Errorf("%s: wire result diverges from golden\ngot:\n%s\nwant:\n%s", name, got, want)
+			for _, cr := range chunkRows {
+				f := launch(t, Options{Bodies: 400, Parallelism: par, Codec: cd.codec, ChunkRows: cr})
+				c := f.Client()
+				for _, bs := range batchSizes {
+					eval.SetBatchSize(bs)
+					for _, file := range files {
+						name := fmt.Sprintf("%s/%s/par=%d/chunk=%d/batch=%d", cd.name, filepath.Base(file), par, cr, bs)
+						sql, err := os.ReadFile(file)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := os.ReadFile(strings.TrimSuffix(file, ".sql") + ".golden")
+						if err != nil {
+							t.Fatalf("%s: missing golden: %v", name, err)
+						}
+						res, err := c.Query(context.Background(), string(sql))
+						if err != nil {
+							t.Errorf("%s: query failed: %v", name, err)
+							continue
+						}
+						if got := goldenEncode(res); got != string(want) {
+							t.Errorf("%s: wire result diverges from golden\ngot:\n%s\nwant:\n%s", name, got, want)
+						}
 					}
 				}
+				f.Close()
 			}
-			f.Close()
 		}
 	}
 }
